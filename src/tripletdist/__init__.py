@@ -9,10 +9,9 @@ the true distances differ by an additive or multiplicative margin.
 
 from .core import (CountingOracle, DiagonalGaussianKL, GroundTruth, SmoothnessParams,
                    SqrtMahalanobis, SquaredMahalanobis, VaryingHessianQuadratic,
-                   analytic_hessian, eval_ground_truth, ground_truth_from_config,
-                   label_triplet, make_ground_truth)
-from .cover import CoverSizeError, Domain, EpsCover, build_cover, nearest_center
-from .finite import RankTable, learn_finite_distance, learn_ranking, rank_distance
+                   ground_truth_from_config, make_ground_truth)
+from .cover import CoverSizeError, Domain, EpsCover, build_cover
+from .finite import RankTable, learn_finite_distance, learn_ranking
 from .maha import (AdmissibilityError, BinarySearchDivergence, MahaModel,
                    binary_search_coefficient, extended_basis, learn_local_hessian,
                    learn_mahalanobis, sym_vec, sym_unvec)
@@ -30,10 +29,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CountingOracle", "GroundTruth", "SmoothnessParams", "SqrtMahalanobis",
     "SquaredMahalanobis", "VaryingHessianQuadratic", "DiagonalGaussianKL",
-    "make_ground_truth", "ground_truth_from_config", "eval_ground_truth",
-    "analytic_hessian", "label_triplet",
-    "Domain", "EpsCover", "CoverSizeError", "build_cover", "nearest_center",
-    "RankTable", "learn_finite_distance", "learn_ranking", "rank_distance",
+    "make_ground_truth", "ground_truth_from_config",
+    "Domain", "EpsCover", "CoverSizeError", "build_cover",
+    "RankTable", "learn_finite_distance", "learn_ranking",
     "MahaModel", "learn_mahalanobis", "learn_local_hessian", "extended_basis",
     "sym_vec", "sym_unvec", "binary_search_coefficient", "BinarySearchDivergence",
     "AdmissibilityError",

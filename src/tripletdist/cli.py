@@ -21,6 +21,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 import time
 
@@ -36,6 +37,7 @@ from .finite import learn_finite_distance
 from .maha import learn_local_hessian, learn_mahalanobis
 from .smooth import (learn_additive, learn_multiplicative_autoscale,
                      multiplicative_thresholds)
+
 
 class UsageError(ValueError):
     """Config-level misuse (reported with exit code 2, like argparse errors)."""
@@ -98,6 +100,26 @@ def build_fixture(cfg: dict, rng: np.random.Generator):
     else:
         raise ValueError(f"unknown fixture {kind!r}")
     return truth, domain
+
+
+_FIXTURE_KEYS = {"fixture", "p", "domain_lo", "domain_hi", "matrix", "kappa", "base_matrix",
+                 "amplitude"}
+_PARAMS_KEYS = {"params_file", "m_third_floor", "l_hess_floor"}
+_HESSIAN_KEYS = {"seed", "eps"} | _FIXTURE_KEYS | _PARAMS_KEYS
+
+# command -> every config key its runner reads (build_fixture and load_params included)
+CONFIG_KEYS = {
+    "learn-finite": {"seed", "n", "eq_tol"} | _FIXTURE_KEYS,
+    "learn-maha": {"mode"} | _HESSIAN_KEYS,
+    "learn-hessian": _HESSIAN_KEYS,
+    "learn-additive": {"seed", "omega", "rule", "samples", "eq_tol", "radius", "cover",
+                       "max_centers"} | _FIXTURE_KEYS | _PARAMS_KEYS,
+    "learn-mult": {"seed", "omega", "samples", "eq_tol", "max_centers", "override_eps",
+                   "override_xi", "override_theta"} | _FIXTURE_KEYS | _PARAMS_KEYS,
+    "audit": {"seed", "audit", "samples", "m_third_scale", "eps"} | _FIXTURE_KEYS
+             | _PARAMS_KEYS,
+    "sweep": {"command", "grid", "base", "seed"},
+}
 
 
 def load_params(cfg: dict, truth, domain) -> SmoothnessParams:
@@ -382,6 +404,7 @@ def run_sweep(cfg: dict, jobs: int):
         point_cfg.update(dict(zip(keys, vals)))
         point_cfg["seed"] = base_seed + idx
         payloads.append((command, point_cfg))
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_point, payloads))
@@ -467,7 +490,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_keys(keys, command: str, where: str) -> None:
+    unknown = sorted(set(keys) - CONFIG_KEYS[command])
+    if unknown:
+        raise UsageError(f"{where} has keys that {command} does not read: {unknown}")
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
+    """The --config file with flags on top; unknown keys are usage errors."""
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -476,14 +506,18 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for k, v in vars(args).items():
         if k not in skip and v is not None:
             cfg[k] = v
+    _check_keys(cfg, args.command, "config")
+    if args.command == "sweep" and cfg.get("command") in RUNNERS:
+        for part in ("base", "grid"):
+            _check_keys(cfg.get(part, {}), cfg["command"], f"sweep {part}")
     return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _merge_config(args)
     t0 = time.perf_counter()
     try:
+        cfg = _merge_config(args)
         if args.command == "sweep":
             rows, columns, ok = run_sweep(cfg, jobs=args.jobs or 1)
             sidecar = {"command": "sweep", "config": cfg, "columns": columns, "rows": rows,

@@ -3,8 +3,8 @@
 The oracle is the only object a learner is allowed to talk to.  Ground truths
 simulate the "user" behind the oracle: given a triplet (x, y, z) the oracle
 answers sign(d(x, y) - d(x, z)) and counts the query.  Direct evaluation of a
-ground truth (``eval_ground_truth``) exists for tests and validators only;
-learners must never call it.
+ground truth (``GroundTruth.distance`` / ``distance_batch``) exists for tests
+and validators only; learners must never call it.
 """
 
 from __future__ import annotations
@@ -269,23 +269,14 @@ def ground_truth_from_config(config: dict) -> GroundTruth:
     return make_ground_truth(kind, **config)
 
 
-def eval_ground_truth(truth: GroundTruth, x, y) -> float:
-    """Direct d(x, y) evaluation.  Test/validator-side only; learners must not call this."""
-    return truth.distance(x, y)
-
-
-def analytic_hessian(truth: GroundTruth, x) -> Array:
-    """Hessian of y -> d(x, y) at y = x, for kinds that have one."""
-    return truth.hessian_at(x)
-
-
 class CountingOracle:
     """Answers triplet queries against a ground truth and counts every answer.
 
     ``query(x, y, z)`` returns sign(d(x, y) - d(x, z)) in {-1, 0, +1}; the 0
     label is produced iff |d(x, y) - d(x, z)| <= equality_tolerance (default
     0.0, i.e. exact ties only).  Every call increments ``query_count`` by one,
-    including repeated identical queries.
+    including repeated identical queries.  A non-finite distance (overflow)
+    raises ValueError rather than turning into a label.
     """
 
     def __init__(self, truth: GroundTruth, equality_tolerance: float = 0.0):
@@ -301,7 +292,12 @@ class CountingOracle:
         y = _as_point(y, dim)
         z = _as_point(z, dim)
         self.query_count += 1
-        diff = self.truth.distance(x, y) - self.truth.distance(x, z)
+        dxy = self.truth.distance(x, y)
+        dxz = self.truth.distance(x, z)
+        if not (math.isfinite(dxy) and math.isfinite(dxz)):
+            raise ValueError(f"non-finite distance in triplet query: d(x, y) = {dxy}, "
+                             f"d(x, z) = {dxz}")
+        diff = dxy - dxz
         if abs(diff) <= self.equality_tolerance:
             return 0
         return 1 if diff > 0 else -1
@@ -365,16 +361,3 @@ class SmoothnessParams:
         if d.get("delta_floor") == "inf":
             d["delta_floor"] = math.inf
         return cls(**d)
-
-
-def label_triplet(oracle: CountingOracle, x, y, z) -> int:
-    """Ask the oracle which of y, z is closer to x; counts as one query."""
-    return oracle.query(x, y, z)
-
-
-def label_sign(dxy: float, dxz: float, tol: float = 0.0) -> int:
-    """Pure labeling rule: sign(dxy - dxz) with a tie band of width tol."""
-    diff = dxy - dxz
-    if abs(diff) <= tol:
-        return 0
-    return 1 if diff > 0 else -1

@@ -232,16 +232,8 @@ def build_cover(domain: Domain, radius: float, method: str = "grid",
     raise ValueError(f"unknown cover method {method!r}")
 
 
-def nearest_center(cover: EpsCover, x) -> tuple[int, np.ndarray]:
-    """Index and coordinates of the closest center (ties: smallest index)."""
-    x = np.asarray(x, dtype=np.float64)
-    idx, _ = _kernels.assign_centers(x[None, :], cover.centers)
-    i = int(idx[0])
-    return i, cover.centers[i]
-
-
 def nearest_center_batch(cover: EpsCover, X) -> np.ndarray:
-    """Nearest-center index for each row of X."""
+    """Nearest-center index for each row of X (ties: smallest index)."""
     idx, _ = _kernels.assign_centers(np.asarray(X, dtype=np.float64), cover.centers)
     return idx
 

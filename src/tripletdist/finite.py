@@ -7,35 +7,17 @@ then reproduces sign(d(x, y) - d(x, y')) for every ordered triplet.
 
 Query cost per pivot: a top-down mergesort over m = n-1 points
 (<= ceil(m*log2(m)) comparisons) plus one adjacent pass of m-1 queries that
-splits the sorted order into tie groups.
+splits the sorted order into tie groups; ``evaluation.query_budget("thm1")``
+is the resulting bound for the whole table.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from .core import CountingOracle
-
-
-def mergesort_budget(m: int) -> int:
-    """Comparison bound for sorting m items: ceil(m * log2(m)); 0 for m <= 1."""
-    if m <= 1:
-        return 0
-    return math.ceil(m * math.log2(m))
-
-
-def per_pivot_budget(n: int) -> int:
-    """Query bound for ranking n-1 points around one pivot (sort + tie pass)."""
-    m = n - 1
-    return mergesort_budget(m) + m
-
-
-def total_budget(n: int) -> int:
-    """Query bound for the full n-pivot table: n * (ceil((n-1)*log2(n-1)) + (n-1))."""
-    return n * per_pivot_budget(n)
 
 
 def _merge_sort(items: list[int], cmp) -> list[int]:
@@ -92,18 +74,22 @@ def learn_ranking(pivot, others, oracle: CountingOracle) -> list[list[int]]:
 class RankTable:
     """Distance surrogate for a finite set: ranks[i, j] = dense rank of j around pivot i.
 
-    ranks[i, i] = 0; ranks are in [1, n-1] off the diagonal.  tie_groups[i]
-    lists, nearest first, the groups of point indices equidistant from i.
+    ranks[i, i] = 0; ranks are in [1, n-1] off the diagonal.
     """
 
     points: np.ndarray
     ranks: np.ndarray
-    tie_groups: list[list[list[int]]]
     query_count: int = 0
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def tie_groups(self) -> list[list[list[int]]]:
+        """Per pivot i, nearest first, the groups of point indices equidistant from i."""
+        return [[np.flatnonzero(row == r).tolist() for r in range(1, row.max() + 1)]
+                for row in self.ranks]
 
     def rank(self, i: int, j: int) -> int:
         n = self.n
@@ -120,7 +106,7 @@ class RankTable:
         return {
             "points": self.points.tolist(),
             "ranks": self.ranks.tolist(),
-            "tie_groups": self.tie_groups,
+            "query_count": self.query_count,
         }
 
     @classmethod
@@ -128,7 +114,6 @@ class RankTable:
         return cls(
             points=np.asarray(d["points"], dtype=np.float64),
             ranks=np.asarray(d["ranks"], dtype=np.int64),
-            tie_groups=[[list(map(int, g)) for g in pivot] for pivot in d["tie_groups"]],
             query_count=int(d.get("query_count", 0)),
         )
 
@@ -147,18 +132,10 @@ def learn_finite_distance(points, oracle: CountingOracle) -> RankTable:
 
     start = oracle.query_count
     ranks = np.zeros((n, n), dtype=np.int64)
-    tie_groups: list[list[list[int]]] = []
     for i in range(n):
         others_idx = [j for j in range(n) if j != i]
-        groups_local = learn_ranking(points[i], points[others_idx], oracle)
-        groups = [[others_idx[a] for a in g] for g in groups_local]
+        groups = learn_ranking(points[i], points[others_idx], oracle)
         for r, group in enumerate(groups, start=1):
-            for j in group:
-                ranks[i, j] = r
-        tie_groups.append(groups)
-    return RankTable(points=points, ranks=ranks, tie_groups=tie_groups,
-                     query_count=oracle.query_count - start)
-
-
-def rank_distance(table: RankTable, i: int, j: int) -> int:
-    return table.rank(i, j)
+            for a in group:
+                ranks[i, others_idx[a]] = r
+    return RankTable(points=points, ranks=ranks, query_count=oracle.query_count - start)

@@ -142,23 +142,34 @@ class MahaModel:
         return {
             "p": self.p,
             "matrix": self.matrix.tolist(),
+            "matrix_pre": self.matrix_pre.tolist(),
             "coefficients": self.coefficients.tolist(),
             "query_count": self.query_count,
             "anchor": self.anchor,
+            "eps": self.eps,
+            "eps_alg": self.eps_alg,
+            "mode": self.mode,
+            "base_point": None if self.base_point is None else self.base_point.tolist(),
+            "rho": self.rho,
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MahaModel":
         matrix = np.asarray(d["matrix"], dtype=np.float64)
+        base_point = d.get("base_point")
+        rho = d.get("rho")
         return cls(
             p=int(d["p"]),
             matrix=matrix,
-            matrix_pre=matrix.copy(),
+            matrix_pre=np.asarray(d.get("matrix_pre", d["matrix"]), dtype=np.float64),
             coefficients=np.asarray(d["coefficients"], dtype=np.float64),
             anchor=int(d["anchor"]),
             query_count=int(d["query_count"]),
             eps=float(d.get("eps", 0.0) or 0.0),
             eps_alg=float(d.get("eps_alg", 0.0) or 0.0),
+            mode=d.get("mode", "noiseless"),
+            base_point=None if base_point is None else np.asarray(base_point, dtype=np.float64),
+            rho=None if rho is None else float(rho),
         )
 
 

@@ -26,10 +26,9 @@ from .finite import RankTable, learn_finite_distance
 from .maha import learn_local_hessian
 
 
-def _sign(diff: float) -> int:
-    if diff == 0:
-        return 0
-    return 1 if diff > 0 else -1
+def _one_row(*points) -> list[np.ndarray]:
+    """Each point as a one-row batch."""
+    return [np.asarray(v, dtype=np.float64)[None] for v in points]
 
 
 def additive_radius(omega: float, params: SmoothnessParams, p: int,
@@ -62,18 +61,14 @@ class AdditiveModel:
     rule: str
     query_count: int
 
-    def center_index(self, x) -> int:
-        idx, _ = _kernels.assign_centers(np.asarray(x, dtype=np.float64)[None, :],
-                                         self.cover.centers)
-        return int(idx[0])
-
     def eval(self, x, y) -> float:
         """Surrogate distance: the rank of c(y) around c(x)."""
-        return float(self.table.rank(self.center_index(x), self.center_index(y)))
+        cx, cy = nearest_center_batch(self.cover, np.asarray([x, y], dtype=np.float64))
+        return float(self.table.ranks[cx, cy])
 
     def answer(self, x, y, z) -> int:
-        cx = self.center_index(x)
-        return self.table.answer(cx, self.center_index(y), self.center_index(z))
+        """``answer_batch`` on one triplet."""
+        return int(self.answer_batch(*_one_row(x, y, z))[0])
 
     def answer_batch(self, X, Y, Z) -> np.ndarray:
         ix = nearest_center_batch(self.cover, X)
@@ -185,48 +180,35 @@ class HybridDistance:
     query_count: int
     scale: float = 1.0  # domain shrink factor applied before learning (1 = none)
 
-    def center_index(self, x) -> int:
-        idx, _ = _kernels.assign_centers(np.asarray(x, dtype=np.float64)[None, :],
-                                         self.cover.centers)
-        return int(idx[0])
-
-    def _form(self, cx: int, x, y) -> float:
-        v = np.asarray(y, dtype=np.float64) - np.asarray(x, dtype=np.float64)
-        return float(v @ self.hessians[cx] @ v)
-
     def eval(self, x, y) -> float:
-        cx = self.center_index(x)
-        form = self._form(cx, x, y)
-        if form > self.theta:
-            return float(self.table.rank(cx, self.center_index(y))) + self.theta
-        return form
+        X, Y = _one_row(x, y)
+        ix = nearest_center_batch(self.cover, X)
+        form = float(_kernels.quad_forms_by_index(Y - X, self.hessians, ix)[0])
+        if form <= self.theta:
+            return form
+        iy = nearest_center_batch(self.cover, Y)
+        return float(self.table.ranks[ix[0], iy[0]]) + self.theta
 
     def answer(self, x, y, z) -> int:
-        cx = self.center_index(x)
-        lxy = self._form(cx, x, y)
-        lxz = self._form(cx, x, z)
-        if lxy > self.theta and lxz > self.theta:
-            return self.table.answer(cx, self.center_index(y), self.center_index(z))
-        if lxy <= self.theta and lxz <= self.theta:
-            return _sign(lxy - lxz)
-        if lxy > self.theta >= lxz:
-            return 1
-        return -1
+        """``answer_batch`` on one triplet."""
+        return int(self.answer_batch(*_one_row(x, y, z))[0])
+
+    def _branches(self, X, Y, Z):
+        """(ix, lxy, lxz, y_glob, z_glob): the center of each x, the local forms of
+        (x, y) and (x, z), and which pairs go to the ranks (form > theta)."""
+        X = np.asarray(X, dtype=np.float64)
+        ix = nearest_center_batch(self.cover, X)
+        lxy = _kernels.quad_forms_by_index(np.asarray(Y, np.float64) - X, self.hessians, ix)
+        lxz = _kernels.quad_forms_by_index(np.asarray(Z, np.float64) - X, self.hessians, ix)
+        return ix, lxy, lxz, lxy > self.theta, lxz > self.theta
 
     def answer_batch(self, X, Y, Z) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        Y = np.asarray(Y, dtype=np.float64)
-        Z = np.asarray(Z, dtype=np.float64)
-        ix = nearest_center_batch(self.cover, X)
-        lxy = _kernels.quad_forms_by_index(Y - X, self.hessians, ix)
-        lxz = _kernels.quad_forms_by_index(Z - X, self.hessians, ix)
-        y_glob = lxy > self.theta
-        z_glob = lxz > self.theta
-        out = np.empty(X.shape[0], dtype=np.int64)
+        ix, lxy, lxz, y_glob, z_glob = self._branches(X, Y, Z)
+        out = np.empty(ix.shape[0], dtype=np.int64)
         both_g = y_glob & z_glob
         if both_g.any():
-            iy = nearest_center_batch(self.cover, Y[both_g])
-            iz = nearest_center_batch(self.cover, Z[both_g])
+            iy = nearest_center_batch(self.cover, np.asarray(Y, np.float64)[both_g])
+            iz = nearest_center_batch(self.cover, np.asarray(Z, np.float64)[both_g])
             diff = self.table.ranks[ix[both_g], iy] - self.table.ranks[ix[both_g], iz]
             out[both_g] = np.sign(diff)
         both_l = ~y_glob & ~z_glob
@@ -237,10 +219,7 @@ class HybridDistance:
 
     def case_counts(self, X, Y, Z) -> dict:
         """How many triplets fall in each branch of the answering rule."""
-        ix = nearest_center_batch(self.cover, np.asarray(X, dtype=np.float64))
-        lxy = _kernels.quad_forms_by_index(np.asarray(Y, np.float64) - X, self.hessians, ix)
-        lxz = _kernels.quad_forms_by_index(np.asarray(Z, np.float64) - X, self.hessians, ix)
-        yg, zg = lxy > self.theta, lxz > self.theta
+        _, _, _, yg, zg = self._branches(X, Y, Z)
         return {
             "both_global": int((yg & zg).sum()),
             "both_local": int((~yg & ~zg).sum()),
@@ -256,6 +235,7 @@ class HybridDistance:
             "theta": self.theta,
             "computed_thresholds": {"beta_hat": self.thresholds.beta_hat,
                                     "eps": self.thresholds.eps, "xi": self.thresholds.xi},
+            "threshold_terms": self.thresholds.to_json_dict()["terms"],
             "omega": self.omega,
             "scale": self.scale,
             "query_count": self.query_count,
@@ -264,9 +244,12 @@ class HybridDistance:
     @classmethod
     def from_json_dict(cls, d: dict) -> "HybridDistance":
         ct = d["computed_thresholds"]
-        th = MultiplicativeThresholds(beta_hat=float(ct["beta_hat"]), eps=float(ct["eps"]),
-                                      xi=float(ct["xi"]), theta=float(d["theta"]),
-                                      omega=float(d["omega"]), terms={})
+        beta_hat = float(ct["beta_hat"])
+        terms = {k: float(v) for k, v in d.get("threshold_terms", {}).items()}
+        # the derived theta is 4 * beta_hat; d["theta"] may be an override
+        th = MultiplicativeThresholds(beta_hat=beta_hat, eps=float(ct["eps"]),
+                                      xi=float(ct["xi"]), theta=4.0 * beta_hat,
+                                      omega=float(d["omega"]), terms=terms)
         return cls(
             cover=EpsCover.from_json_dict(d["cover"]),
             table=RankTable.from_json_dict(d["table"]),

@@ -149,6 +149,52 @@ def test_different_seed_different_hash(capsys):
 # sweep
 
 
+def test_sidecar_as_config_is_usage_error(tmp_path, capsys):
+    """A previous run's sidecar has no key a runner reads as fixture input."""
+    out = tmp_path / "run"
+    assert main(["learn-finite", "--n", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["learn-finite", "--config", str(out.with_suffix(".json"))])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "'columns'" in err and "'rows'" in err
+
+
+def test_sweep_unknown_base_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"command": "learn-finite", "grid": {"n": [4]},
+                               "base": {"omgea": 0.1}}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "'omgea'" in capsys.readouterr().err
+
+
+def test_sweep_jobs_clamped_to_cpu_count(tmp_path, capsys, monkeypatch):
+    """No process starts: the pool is a serial stand-in that records max_workers."""
+    import concurrent.futures
+    import os
+
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code, _ = _run(capsys, ["sweep", "--config", str(_sweep_cfg(tmp_path)), "--jobs", "64"])
+    assert code == 0
+    assert seen == [3]
+
+
 def _sweep_cfg(tmp_path, **extra):
     cfg = {"command": "learn-finite", "grid": {"n": [4, 5, 6]},
            "base": {"p": 2}, "seed": 100, **extra}

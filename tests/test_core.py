@@ -15,10 +15,7 @@ from tripletdist import (
     SqrtMahalanobis,
     SquaredMahalanobis,
     VaryingHessianQuadratic,
-    analytic_hessian,
-    eval_ground_truth,
     ground_truth_from_config,
-    label_triplet,
     make_ground_truth,
 )
 
@@ -118,13 +115,13 @@ def test_varying_hessian_rejects_indefinite_field():
 def test_analytic_hessian_squared_is_matrix():
     M = np.diag([2.0, 3.0])
     truth = SquaredMahalanobis(M)
-    np.testing.assert_array_equal(analytic_hessian(truth, [0.4, -0.2]), M)
+    np.testing.assert_array_equal(truth.hessian_at([0.4, -0.2]), M)
 
 
 def test_varying_hessian_zero_amplitude_is_base():
     A = np.array([[1.0, 0.1], [0.1, 0.8]])
     truth = VaryingHessianQuadratic(A, amplitude=0.0)
-    np.testing.assert_allclose(analytic_hessian(truth, [0.3, 0.9]), A, atol=1e-15)
+    np.testing.assert_allclose(truth.hessian_at([0.3, 0.9]), A, atol=1e-15)
 
 
 def test_sqrt_has_no_hessian():
@@ -245,10 +242,17 @@ def test_query_count_increments_per_query():
     assert oracle.query_count == 0
 
 
-def test_label_triplet_counts_one_query():
-    oracle = CountingOracle(SquaredMahalanobis(np.eye(1)))
-    assert label_triplet(oracle, [0.0], [2.0], [1.0]) == 1
-    assert oracle.query_count == 1
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_query_rejects_non_finite_distances():
+    """exp overflow makes both KL distances inf; inf - inf must not become a label."""
+    oracle = CountingOracle(DiagonalGaussianKL(1))
+    with pytest.raises(ValueError, match="non-finite"):
+        oracle.query([0.0], [800.0], [801.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        oracle.query([0.0], [801.0], [800.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        oracle.query([0.0], [800.0], [1.0])
+    assert oracle.query([0.0], [2.0], [1.0]) == 1
 
 
 def test_equality_tolerance_zero_by_default():
@@ -321,12 +325,6 @@ def test_config_round_trip(truth, rng):
     Y = rng.uniform(-1, 1, (20, truth.dim))
     np.testing.assert_allclose(clone.distance_batch(X, Y),
                                truth.distance_batch(X, Y), rtol=1e-14)
-
-
-def test_eval_ground_truth_matches_distance():
-    truth = SquaredMahalanobis(np.eye(2))
-    assert eval_ground_truth(truth, [0.0, 0.0], [3.0, 4.0]) == truth.distance(
-        [0.0, 0.0], [3.0, 4.0])
 
 
 # ---------------------------------------------------------------------------

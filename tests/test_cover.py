@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripletdist import CoverSizeError, Domain, EpsCover, build_cover, nearest_center
+from tripletdist import CoverSizeError, Domain, EpsCover, build_cover
 from tripletdist.cover import (
     covering_radius_check,
     grid_cover_counts,
@@ -119,7 +119,6 @@ def test_grid_radius_is_tight_in_the_cell_corner():
     # cell is the farthest point from its midpoint center
     h = 1.0 / 3.0
     corner = np.array([h, h])  # meeting point of the first cells
-    _, d2 = np.array(nearest_center(cover, corner)[1]), None
     dist = np.linalg.norm(cover.centers - corner, axis=1).min()
     assert dist <= 0.3 + 1e-12
     assert dist == pytest.approx(math.sqrt(2) * h / 2.0)
@@ -194,9 +193,8 @@ def test_unknown_method_rejected():
 
 def test_nearest_center_tie_takes_smallest_index():
     cover = EpsCover(centers=np.array([[0.0], [1.0]]), radius=0.5)
-    idx, c = nearest_center(cover, [0.5])
-    assert idx == 0
-    np.testing.assert_array_equal(c, [0.0])
+    np.testing.assert_array_equal(nearest_center_batch(cover, [[0.5], [0.25], [0.75]]),
+                                  [0, 0, 1])
 
 
 def test_nearest_center_batch_matches_linear_scan(rng):

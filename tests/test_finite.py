@@ -15,9 +15,8 @@ from tripletdist import (
     SquaredMahalanobis,
     learn_finite_distance,
     learn_ranking,
-    rank_distance,
+    query_budget,
 )
-from tripletdist.finite import mergesort_budget, per_pivot_budget, total_budget
 
 from conftest import brute_force_ranks, random_spd
 
@@ -154,12 +153,11 @@ def test_one_dimensional_input_rejected():
 
 
 def test_budget_formulas():
-    assert mergesort_budget(1) == 0
-    assert mergesort_budget(2) == 2  # ceil(2 * 1)
-    assert mergesort_budget(8) == 24
-    assert per_pivot_budget(9) == mergesort_budget(8) + 8
-    assert total_budget(9) == 9 * per_pivot_budget(9)
-    assert total_budget(2) == 2  # 2 * (0 + 1)
+    # n * (ceil(m log2 m) + m) with m = n - 1; the sort term is 0 for m <= 1
+    assert query_budget("thm1", n=1) == 0
+    assert query_budget("thm1", n=2) == 2  # 2 * (0 + 1)
+    assert query_budget("thm1", n=3) == 3 * (2 + 2)  # ceil(2 * 1) = 2
+    assert query_budget("thm1", n=9) == 9 * (24 + 8)  # ceil(8 * 3) = 24
 
 
 @pytest.mark.parametrize("n", [2, 5, 8, 16])
@@ -168,7 +166,7 @@ def test_query_count_within_budget(n, rng):
     oracle = _euclid_oracle(2)
     table = learn_finite_distance(points, oracle)
     assert table.query_count == oracle.query_count
-    assert table.query_count <= total_budget(n)
+    assert table.query_count <= query_budget("thm1", n=n)
     # the acceptance-level closed form is also respected
     if n > 2:
         m = n - 1
@@ -180,7 +178,7 @@ def test_tie_heavy_input_stays_within_budget():
     xs = np.array([[float(k)] for k in range(-8, 8)])
     oracle = _euclid_oracle(1)
     table = learn_finite_distance(xs, oracle)
-    assert table.query_count <= total_budget(16)
+    assert table.query_count <= query_budget("thm1", n=16)
     np.testing.assert_array_equal(
         table.ranks, brute_force_ranks(xs, SqrtMahalanobis(np.eye(1))))
 
@@ -206,17 +204,12 @@ def test_rank_table_index_errors():
         table.rank(-3, 0)
 
 
-def test_rank_distance_helper():
-    table = learn_finite_distance(np.array([[0.0], [1.0], [3.0]]), _euclid_oracle(1))
-    assert rank_distance(table, 0, 2) == 2
-
-
 def test_json_round_trip(rng):
     points = rng.uniform(-1, 1, (6, 2))
     table = learn_finite_distance(points, _euclid_oracle(2, tol=1e-12))
     blob = json.dumps(table.to_json_dict())
     data = json.loads(blob)
-    assert set(data) >= {"points", "ranks", "tie_groups"}
+    assert set(data) >= {"points", "ranks", "query_count"}
     back = RankTable.from_json_dict(data)
     np.testing.assert_array_equal(back.ranks, table.ranks)
     np.testing.assert_allclose(back.points, table.points)
@@ -240,7 +233,7 @@ def test_integer_line_matches_brute_force(xs):
     oracle = CountingOracle(truth)
     table = learn_finite_distance(points, oracle)
     np.testing.assert_array_equal(table.ranks, brute_force_ranks(points, truth))
-    assert oracle.query_count <= total_budget(len(xs))
+    assert oracle.query_count <= query_budget("thm1", n=len(xs))
 
 
 @given(st.integers(0, 2 ** 31))

@@ -359,11 +359,15 @@ def test_model_json_round_trip(rng):
     M_star = random_spd(3, 4.0, rng)
     model = learn_mahalanobis(CountingOracle(SqrtMahalanobis(M_star)), 3, eps=1e-3)
     data = model.to_json_dict()
-    assert set(data) == {"p", "matrix", "coefficients", "query_count", "anchor"}
+    assert set(data) == {"p", "matrix", "matrix_pre", "coefficients", "query_count", "anchor",
+                         "eps", "eps_alg", "mode", "base_point", "rho"}
     back = MahaModel.from_json_dict(data)
     np.testing.assert_allclose(back.matrix, model.matrix)
+    np.testing.assert_array_equal(back.matrix_pre, model.matrix_pre)
     assert back.anchor == model.anchor
     assert back.query_count == model.query_count
+    assert (back.eps, back.eps_alg, back.mode) == (model.eps, model.eps_alg, "noiseless")
+    assert back.base_point is None and back.rho is None
 
 
 def test_learn_rejects_bad_arguments():

@@ -36,7 +36,6 @@ from tripletdist.evaluation import (
     fixture_smoothness,
     query_budget,
 )
-from tripletdist.finite import total_budget
 
 
 def _params(**over) -> SmoothnessParams:
@@ -94,7 +93,7 @@ def test_additive_one_dimensional_no_violations(rng):
     report = check_additive(truth, model.answer_batch, 0.2, X, Y, Z)
     assert report.eligible > 0
     assert report.violations == 0
-    assert model.query_count <= total_budget(model.cover.size)
+    assert model.query_count <= query_budget("thm1", n=model.cover.size)
 
 
 def test_additive_huge_omega_single_center_vacuous(rng):
@@ -156,14 +155,22 @@ def test_additive_same_center_distance_zero(rng):
         assert model.eval(x, x) == 0.0
 
 
+def _assert_batch_size_invariant(model, X, Y, Z):
+    """Scalar answers and batches of 1, 7 and all rows agree bit for bit."""
+    full = model.answer_batch(X, Y, Z)
+    for size in (1, 7):
+        parts = [model.answer_batch(X[s:s + size], Y[s:s + size], Z[s:s + size])
+                 for s in range(0, X.shape[0], size)]
+        np.testing.assert_array_equal(np.concatenate(parts), full)
+    scalar = [model.answer(X[i], Y[i], Z[i]) for i in range(X.shape[0])]
+    np.testing.assert_array_equal(scalar, full)
+
+
 def test_additive_answer_batch_matches_scalar(rng):
     truth = SquaredMahalanobis(np.array([[1.0, 0.2], [0.2, 0.6]]))
     dom = Domain.unit_box(2)
     model = learn_additive(dom, CountingOracle(truth), omega=0.3, radius=0.15)
-    X, Y, Z = sample_triplets(dom, 200, rng)
-    batch = model.answer_batch(X, Y, Z)
-    for i in range(200):
-        assert batch[i] == model.answer(X[i], Y[i], Z[i])
+    _assert_batch_size_invariant(model, *sample_triplets(dom, 1000, rng))
 
 
 def test_additive_json_round_trip(rng):
@@ -273,13 +280,19 @@ def test_hybrid_answer_both_global_uses_table():
 
 
 def test_hybrid_answer_batch_matches_scalar(rng):
-    model = _two_center_hybrid(theta=0.05)
-    X = rng.uniform(0, 1, (300, 1))
-    Y = rng.uniform(0, 1, (300, 1))
-    Z = rng.uniform(0, 1, (300, 1))
-    batch = model.answer_batch(X, Y, Z)
-    for i in range(300):
-        assert batch[i] == model.answer(X[i], Y[i], Z[i])
+    """Triplets whose forms sit exactly at theta (they go local) answer alike in
+    every batch size and through the scalar rule."""
+    model = _two_center_hybrid(theta=0.25)
+    X = rng.integers(0, 33, (1000, 1)) / 64.0          # x + 0.5 stays exact
+    Y = rng.uniform(0, 1, (1000, 1))
+    Z = rng.uniform(0, 1, (1000, 1))
+    Y[::3] = X[::3] + 0.5                               # form exactly theta
+    Z[::5] = X[::5] + 0.5
+    at_theta = ((Y - X)[:, 0] ** 2 == 0.25) | ((Z - X)[:, 0] ** 2 == 0.25)
+    assert at_theta.sum() > 400
+    _assert_batch_size_invariant(model, X, Y, Z)
+    # at theta the pair is local: 0.25 < 0.36, so y is nearer
+    assert model.answer([0.0], [0.5], [0.6]) == -1
 
 
 def test_hybrid_consistency_with_eval_in_pitched_cases(rng):
@@ -292,9 +305,9 @@ def test_hybrid_consistency_with_eval_in_pitched_cases(rng):
     assert cases["both_local"] > 0 and cases["both_global"] > 0
     for i in range(500):
         x, y, z = X[i], Y[i], Z[i]
-        cx = model.center_index(x)
-        lxy = model._form(cx, x, y)
-        lxz = model._form(cx, x, z)
+        # unit Hessians at both centers: the local form is the squared gap
+        lxy = float((y - x)[0] ** 2)
+        lxz = float((z - x)[0] ** 2)
         both_local = lxy <= model.theta and lxz <= model.theta
         both_global = lxy > model.theta and lxz > model.theta
         if both_local or both_global:
@@ -363,6 +376,14 @@ def test_multiplicative_zero_theta_control_fails(hybrid_learned, rng):
     report = check_multiplicative(truth, broken.answer_batch, 0.5, X, Y, Z)
     assert report.violations > 0
     assert not report.ok
+
+
+def test_learned_hybrid_batch_size_invariant(hybrid_learned, rng):
+    _, dom, _, model, _ = hybrid_learned
+    X, Y, Z = sample_triplets(dom, 700, rng)
+    nX, nY, nZ = near_pair_triplets(dom, [model.cover.radius], 300, rng)
+    _assert_batch_size_invariant(model, np.concatenate([X, nX]), np.concatenate([Y, nY]),
+                                 np.concatenate([Z, nZ]))
 
 
 def test_multiplicative_query_budget(hybrid_learned):
