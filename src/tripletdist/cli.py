@@ -1,10 +1,10 @@
 """Command-line driver: run learners against simulated oracles and score them.
 
 Every subcommand reads an optional JSON config (--config), applies flag
-overrides on top, runs, prints a summary, and optionally writes a CSV with a
-fixed column order plus a JSON sidecar (--out).  Exit codes: 0 on success,
-1 when any assertion (budget, tolerance, zero-violation requirement, audit)
-fails, 2 on usage errors (argparse's native behavior).
+overrides on top, runs, prints a summary, and optionally writes a CSV plus a
+JSON sidecar (--out).  Exit codes: 0 on success, 1 when any assertion
+(budget, tolerance, zero-violation requirement, audit) fails, 2 on usage
+errors (argparse's native behavior).
 
 The determinism hash printed at the end is a sha256 over the CSV with the
 wall_time column blanked and the sidecar with timing stripped, so identical
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -27,7 +28,7 @@ import time
 
 import numpy as np
 
-from .core import CountingOracle, SmoothnessParams, make_ground_truth
+from .core import CountingOracle, SmoothnessParams, curvature_scale, make_ground_truth
 from .cover import Domain
 from .evaluation import (assert_query_budget, audit_quadratic_sandwich, audit_taylor,
                          audit_hessian_band, check_additive, check_multiplicative,
@@ -41,21 +42,6 @@ from .smooth import (learn_additive, learn_multiplicative_autoscale,
 
 class UsageError(ValueError):
     """Config-level misuse (reported with exit code 2, like argparse errors)."""
-
-
-COLUMNS = {
-    "learn-finite": ["n", "p", "seed", "query_count", "budget", "violations", "wall_time"],
-    "learn-maha": ["p", "kappa", "eps", "mode", "seed", "query_count", "budget",
-                   "frobenius_error", "wall_time"],
-    "learn-hessian": ["p", "eps", "fixture", "seed", "query_count", "budget",
-                      "frobenius_error", "wall_time"],
-    "learn-additive": ["omega", "rule", "radius", "centers", "samples", "seed",
-                       "query_count", "budget", "eligible", "violations", "wall_time"],
-    "learn-mult": ["omega", "eps", "xi", "theta", "centers", "scale", "samples", "seed",
-                   "query_count", "budget", "eligible", "violations", "wall_time"],
-    "audit": ["audit", "fixture", "p", "samples", "seed", "value", "threshold", "ok",
-              "wall_time"],
-}
 
 
 def random_psd(p: int, kappa: float, rng: np.random.Generator,
@@ -105,13 +91,12 @@ def build_fixture(cfg: dict, rng: np.random.Generator):
 _FIXTURE_KEYS = {"fixture", "p", "domain_lo", "domain_hi", "matrix", "kappa", "base_matrix",
                  "amplitude"}
 _PARAMS_KEYS = {"params_file", "m_third_floor", "l_hess_floor"}
-_HESSIAN_KEYS = {"seed", "eps"} | _FIXTURE_KEYS | _PARAMS_KEYS
 
 # command -> every config key its runner reads (build_fixture and load_params included)
 CONFIG_KEYS = {
     "learn-finite": {"seed", "n", "eq_tol"} | _FIXTURE_KEYS,
-    "learn-maha": {"mode"} | _HESSIAN_KEYS,
-    "learn-hessian": _HESSIAN_KEYS,
+    "learn-maha": {"seed", "p", "kappa", "eps", "matrix"},
+    "learn-hessian": {"seed", "eps"} | _FIXTURE_KEYS | _PARAMS_KEYS,
     "learn-additive": {"seed", "omega", "rule", "samples", "eq_tol", "radius", "cover",
                        "max_centers"} | _FIXTURE_KEYS | _PARAMS_KEYS,
     "learn-mult": {"seed", "omega", "samples", "eq_tol", "max_centers", "override_eps",
@@ -132,7 +117,7 @@ def load_params(cfg: dict, truth, domain) -> SmoothnessParams:
 
 
 # ---------------------------------------------------------------------------
-# runners: cfg -> (row dict, sidecar extra, ok)
+# runners: cfg -> (row dict, sidecar extra, ok); the row's key order is the CSV's column order
 
 
 def run_learn_finite(cfg: dict):
@@ -160,13 +145,6 @@ def run_learn_finite(cfg: dict):
 
 
 def run_learn_maha(cfg: dict):
-    if cfg.get("mode", "noiseless") == "noisy":
-        row, extra, ok = run_learn_hessian(cfg)
-        row = {"p": row["p"], "kappa": cfg.get("kappa", ""), "eps": row["eps"],
-               "mode": "noisy", "seed": row["seed"], "query_count": row["query_count"],
-               "budget": row["budget"], "frobenius_error": row["frobenius_error"],
-               "wall_time": row["wall_time"]}
-        return row, extra, ok
     seed = int(cfg.get("seed", 0))
     p = int(cfg.get("p", 3))
     kappa = float(cfg.get("kappa", 5.0))
@@ -181,7 +159,7 @@ def run_learn_maha(cfg: dict):
     wall = time.perf_counter() - t0
     _, err = frobenius_error(model.matrix, M_star, convention="max-diag")
     budget = query_budget("thm4", p=p, kappa=np.linalg.cond(M_star), eps=eps)
-    row = {"p": p, "kappa": kappa, "eps": eps, "mode": "noiseless", "seed": seed,
+    row = {"p": p, "kappa": kappa, "eps": eps, "mode": model.mode, "seed": seed,
            "query_count": model.query_count, "budget": budget, "frobenius_error": err,
            "wall_time": wall}
     ok = err <= eps and model.query_count <= budget
@@ -261,8 +239,7 @@ def run_learn_mult(cfg: dict):
     dom = domain.shrunk(model.scale) if model.scale != 1.0 else domain
     params = params_fn(dom)
     X, Y, Z = sample_triplets(dom, samples, rng)
-    delta = min(3.0 * params.eig_lo / (2.0 * params.M_third * dom.dim ** 1.5),
-                dom.diameter())
+    delta = min(curvature_scale(params.eig_lo, params.M_third, dom.dim), dom.diameter())
     scales = [model.cover.radius, math.sqrt(model.thresholds.beta_hat), delta]
     nX, nY, nZ = near_pair_triplets(dom, scales, samples // 10, rng)
     X = np.concatenate([X, nX]); Y = np.concatenate([Y, nY]); Z = np.concatenate([Z, nZ])
@@ -295,8 +272,9 @@ def run_audit(cfg: dict):
         cfg.setdefault("domain_hi", 0.1)
         truth, domain = build_fixture(cfg, rng)
         params = load_params(cfg, truth, domain)
-        m3 = params.M_third * float(cfg.get("m_third_scale", 1.0))
-        res = audit_taylor(truth, m3, domain, radius=float(domain.side_lengths.max()),
+        claimed = dataclasses.replace(
+            params, M_third=params.M_third * float(cfg.get("m_third_scale", 1.0)))
+        res = audit_taylor(truth, claimed, domain, radius=float(domain.side_lengths.max()),
                            n_samples=samples, rng=rng)
         value, threshold, ok = res["max_ratio"], 1.0, res["ok"]
     elif which == "sandwich":
@@ -414,8 +392,7 @@ def run_sweep(cfg: dict, jobs: int):
     for idx, (row, ok) in enumerate(results):
         rows.append({"grid_index": idx, **row})
         all_ok = all_ok and ok
-    columns = ["grid_index"] + COLUMNS[command]
-    return rows, columns, all_ok
+    return rows, list(rows[0]), all_ok
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--kappa", type=float, default=None)
     sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--mode", choices=["noiseless", "noisy"], default=None)
 
     sp = sub.add_parser("learn-hessian", help="estimate a local Hessian up to scale")
     _add_common(sp)
@@ -524,7 +500,7 @@ def main(argv=None) -> int:
                        "ok": ok}
         else:
             row, extra, ok = RUNNERS[args.command](cfg)
-            rows, columns = [row], COLUMNS[args.command]
+            rows, columns = [row], list(row)
             sidecar = {"command": args.command, "config": cfg, "columns": columns,
                        "rows": rows, "ok": ok, **extra}
     except UsageError as exc:

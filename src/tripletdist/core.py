@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._json import JsonArtifact
+
 Array = np.ndarray
 
 GROUND_TRUTH_KINDS = (
@@ -306,8 +308,13 @@ class CountingOracle:
         self.query_count = 0
 
 
+def curvature_scale(eig_lo: float, M_third: float, p: int) -> float:
+    """delta = 3 eig_lo / (2 M_third p^1.5): within it the local quadratic dominates."""
+    return 3.0 * eig_lo / (2.0 * M_third * p ** 1.5)
+
+
 @dataclasses.dataclass(frozen=True)
-class SmoothnessParams:
+class SmoothnessParams(JsonArtifact):
     """Regularity constants a learner is allowed to know about the ground truth.
 
     alpha, L_smooth   -- Hölder exponent/constant for point perturbations
@@ -315,7 +322,7 @@ class SmoothnessParams:
     eig_lo, eig_hi    -- band containing every eigenvalue of every local Hessian
     L_hess            -- Lipschitz constant of x -> H*_x in Frobenius norm
     delta_floor       -- min distance between points further apart than the
-                         scale delta = min(3*eig_lo/(2*M_third*p^1.5), diam);
+                         scale delta = min(curvature_scale(eig_lo, M_third, p), diam);
                          may be +inf when no such pair exists in the domain
     kappa0            -- separation multiplier, defaults to 40*(eig_hi/eig_lo)^3
     """
@@ -348,16 +355,3 @@ class SmoothnessParams:
     def taylor_constant(self, p: int) -> float:
         """The cubic-residual constant M_third * p^1.5 / 6."""
         return self.M_third * p ** 1.5 / 6.0
-
-    def to_json_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        if math.isinf(d["delta_floor"]):
-            d["delta_floor"] = "inf"
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SmoothnessParams":
-        d = dict(d)
-        if d.get("delta_floor") == "inf":
-            d["delta_floor"] = math.inf
-        return cls(**d)

@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from . import _kernels
+from ._json import JsonArtifact
 
 
 class CoverSizeError(RuntimeError):
@@ -94,24 +95,16 @@ class Domain:
 
 
 @dataclasses.dataclass
-class EpsCover:
+class EpsCover(JsonArtifact):
     """Finite set of centers with covering radius <= radius over its domain."""
 
-    centers: np.ndarray
     radius: float
+    centers: np.ndarray
     method: str = "grid"
 
     @property
     def size(self) -> int:
         return self.centers.shape[0]
-
-    def to_json_dict(self) -> dict:
-        return {"radius": self.radius, "centers": self.centers.tolist(), "method": self.method}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EpsCover":
-        return cls(centers=np.asarray(d["centers"], dtype=np.float64),
-                   radius=float(d["radius"]), method=d.get("method", "grid"))
 
 
 def grid_cover_counts(domain: Domain, radius: float) -> np.ndarray:

@@ -13,13 +13,14 @@ import math
 
 import numpy as np
 
+from ._json import JsonArtifact
 from .core import GroundTruth, SmoothnessParams, SqrtMahalanobis, SquaredMahalanobis, \
-    VaryingHessianQuadratic, DiagonalGaussianKL
+    VaryingHessianQuadratic, DiagonalGaussianKL, curvature_scale
 from .cover import Domain
 
 
 @dataclasses.dataclass
-class AgreementReport:
+class AgreementReport(JsonArtifact):
     """Outcome of scoring a learner's triplet answers against the ground truth."""
 
     mode: str                      # "additive" or "multiplicative"
@@ -34,9 +35,6 @@ class AgreementReport:
     @property
     def ok(self) -> bool:
         return self.violations == 0
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 _MAX_EXEMPLARS = 10
@@ -203,15 +201,15 @@ def frobenius_error(M_learned: np.ndarray, M_star: np.ndarray,
 # regularity audits
 
 
-def audit_taylor(truth: GroundTruth, m_third: float, domain: Domain, radius: float,
+def audit_taylor(truth: GroundTruth, params: SmoothnessParams, domain: Domain, radius: float,
                  n_samples: int, rng: np.random.Generator) -> dict:
     """Max |d(x,y) - 1/2 h^T H*_x h| / (K ||h||^3) over sampled in-domain pairs.
 
-    K = m_third * p^1.5 / 6.  A ratio <= 1 everywhere supports the claimed
-    third-derivative bound; ratios above 1 refute it.
+    K = params.taylor_constant(p).  A ratio <= 1 everywhere supports the
+    claimed third-derivative bound params.M_third; ratios above 1 refute it.
     """
     p = domain.dim
-    K = m_third * p ** 1.5 / 6.0
+    K = params.taylor_constant(p)
     X = domain.sample_uniform(rng, n_samples)
     # log-uniform radii in [radius/10, radius] keep the ratio well-conditioned
     r = radius * np.exp(rng.uniform(math.log(0.1), 0.0, n_samples))
@@ -238,8 +236,7 @@ def audit_quadratic_sandwich(truth: GroundTruth, params: SmoothnessParams, domai
                              n_samples: int, rng: np.random.Generator) -> dict:
     """Check (eig_lo/4)||h||^2 <= d(x, x+h) <= eig_hi ||h||^2 within the curvature radius."""
     p = domain.dim
-    radius = 3.0 * params.eig_lo / (2.0 * params.M_third * p ** 1.5)
-    radius = min(radius, domain.diameter())
+    radius = min(curvature_scale(params.eig_lo, params.M_third, p), domain.diameter())
     X = domain.sample_uniform(rng, n_samples)
     r = radius * np.exp(rng.uniform(math.log(1e-3), 0.0, n_samples))
     Y = X + r[:, None] * _unit_directions(rng, n_samples, p)
@@ -283,7 +280,7 @@ def query_budget(formula: str, **kw) -> float:
 
     thm1: n(ceil((n-1)log2(n-1)) + (n-1))                 [finite table]
     thm4: p(p+1)/2 * log2(2 p^2 kappa^2 / eps) + p        [matrix recovery]
-    thm5: p(p+1)/2 * log2(2 p^2 (E/e)^2 / eps) + p        [local Hessian]
+    thm5: thm4 with kappa = E/e                           [local Hessian]
     thm6: 2 * (N^2 log2(N) + N * thm5(xi))                [hybrid; x2 slack]
     """
     if formula == "thm1":
@@ -295,9 +292,7 @@ def query_budget(formula: str, **kw) -> float:
         p, kappa, eps = kw["p"], kw["kappa"], kw["eps"]
         return p * (p + 1) / 2 * math.log2(2 * p * p * kappa * kappa / eps) + p
     if formula == "thm5":
-        p, eps = kw["p"], kw["eps"]
-        ratio = kw["eig_hi"] / kw["eig_lo"]
-        return p * (p + 1) / 2 * math.log2(2 * p * p * ratio * ratio / eps) + p
+        return query_budget("thm4", p=kw["p"], kappa=kw["eig_hi"] / kw["eig_lo"], eps=kw["eps"])
     if formula == "thm6":
         n_centers, p, xi = kw["n_centers"], kw["p"], kw["xi"]
         local = query_budget("thm5", p=p, eps=xi, eig_hi=kw["eig_hi"], eig_lo=kw["eig_lo"])
@@ -330,7 +325,7 @@ def fixture_smoothness(truth: GroundTruth, domain: Domain, *,
     and Hessian-Lipschitz constants of zero (or a closed form); the floors
     keep the corresponding fields positive and remain honest upper bounds.
     The separation floor delta_floor is computed offline: it is +inf when the
-    curvature radius min(3*eig_lo/(2*M_third*p^1.5), diam) already spans the
+    curvature radius min(curvature_scale(eig_lo, M_third, p), diam) already spans the
     whole domain, else a provable lower bound on distances past that radius.
 
     For the sqrt kind the Hessian-related fields (M_third, L_hess and the
@@ -349,7 +344,7 @@ def fixture_smoothness(truth: GroundTruth, domain: Domain, *,
     if isinstance(truth, SqrtMahalanobis):
         w = np.linalg.eigvalsh(truth.matrix)
         lo, hi = float(w.min()), float(w.max())
-        delta_cap = 3.0 * lo / (2.0 * 1.0 * p ** 1.5)  # placeholder M_third = 1
+        delta_cap = curvature_scale(lo, 1.0, p)  # placeholder M_third = 1
         delta = min(delta_cap, diam)
         floor = math.inf if delta >= diam * (1.0 - 1e-12) else math.sqrt(lo) * delta
         return SmoothnessParams(alpha=1.0, L_smooth=math.sqrt(hi), M_third=1.0,
@@ -358,7 +353,7 @@ def fixture_smoothness(truth: GroundTruth, domain: Domain, *,
     if isinstance(truth, SquaredMahalanobis):
         w = np.linalg.eigvalsh(truth.matrix)
         lo, hi = float(w.min()), float(w.max())
-        delta_cap = 3.0 * lo / (2.0 * m_third_floor * p ** 1.5)
+        delta_cap = curvature_scale(lo, m_third_floor, p)
         return SmoothnessParams(alpha=1.0, L_smooth=hi * diam, M_third=m_third_floor,
                                 eig_lo=lo, eig_hi=hi, L_hess=l_hess_floor,
                                 delta_floor=floor_from(delta_cap, 0.5 * lo), kappa0=kappa0)
@@ -366,7 +361,7 @@ def fixture_smoothness(truth: GroundTruth, domain: Domain, *,
         lo, hi = truth.eig_band()
         L_h = max(truth.hessian_lipschitz(), l_hess_floor)
         L_s = hi * diam + 0.5 * L_h * diam * diam
-        delta_cap = 3.0 * lo / (2.0 * m_third_floor * p ** 1.5)
+        delta_cap = curvature_scale(lo, m_third_floor, p)
         return SmoothnessParams(alpha=1.0, L_smooth=L_s, M_third=m_third_floor,
                                 eig_lo=lo, eig_hi=hi, L_hess=L_h,
                                 delta_floor=floor_from(delta_cap, 0.5 * lo), kappa0=kappa0)
@@ -377,7 +372,7 @@ def fixture_smoothness(truth: GroundTruth, domain: Domain, *,
         # on [-R, R] with c_R = g(-R)/R^2 (the profile's ratio is increasing)
         c_R = 0.5 * (math.exp(-R) + R - 1.0) / (R * R)
         L_s = 0.5 * math.sqrt(p) * (math.exp(R) - 1.0)
-        delta_cap = 3.0 * 0.5 / (2.0 * m3 * p ** 1.5)
+        delta_cap = curvature_scale(0.5, m3, p)
         return SmoothnessParams(alpha=1.0, L_smooth=L_s, M_third=m3,
                                 eig_lo=0.5, eig_hi=0.5, L_hess=l_hess_floor,
                                 delta_floor=floor_from(delta_cap, c_R), kappa0=kappa0)

@@ -17,6 +17,7 @@ import dataclasses
 
 import numpy as np
 
+from ._json import JsonArtifact
 from .core import CountingOracle
 
 
@@ -71,7 +72,7 @@ def learn_ranking(pivot, others, oracle: CountingOracle) -> list[list[int]]:
 
 
 @dataclasses.dataclass
-class RankTable:
+class RankTable(JsonArtifact):
     """Distance surrogate for a finite set: ranks[i, j] = dense rank of j around pivot i.
 
     ranks[i, i] = 0; ranks are in [1, n-1] off the diagonal.
@@ -101,21 +102,6 @@ class RankTable:
         """sign(rank(i,j) - rank(i,k)), the table's triplet answer."""
         diff = self.rank(i, j) - self.rank(i, k)
         return 0 if diff == 0 else (1 if diff > 0 else -1)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "points": self.points.tolist(),
-            "ranks": self.ranks.tolist(),
-            "query_count": self.query_count,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RankTable":
-        return cls(
-            points=np.asarray(d["points"], dtype=np.float64),
-            ranks=np.asarray(d["ranks"], dtype=np.int64),
-            query_count=int(d.get("query_count", 0)),
-        )
 
 
 def learn_finite_distance(points, oracle: CountingOracle) -> RankTable:

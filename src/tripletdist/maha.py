@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from ._json import JsonArtifact
 from .core import CountingOracle, SmoothnessParams
 
 _MAX_SEARCH_ITERS = 200
@@ -117,60 +118,21 @@ def binary_search_coefficient(label_fn, eps_alg: float,
     return BinarySearchResult(value=c, queries=queries, lo=lo, hi=hi, exact=False)
 
 
-def per_coefficient_budget(p: int, kappa: float, eps: float) -> float:
-    """log2(2 p^2 kappa^2 / eps), the per-direction search allowance."""
-    return math.log2(2.0 * p * p * kappa * kappa / eps)
-
-
 @dataclasses.dataclass
-class MahaModel:
+class MahaModel(JsonArtifact):
     """A learned PSD matrix, normalized so the anchor diagonal entry is 1."""
 
     p: int
     matrix: np.ndarray          # PSD-projected estimate
     matrix_pre: np.ndarray      # pre-projection solve output (anchor diag exactly 1)
     coefficients: np.ndarray    # measured u^T M u / anchor values, extended-basis order
-    anchor: int                 # coordinate index of the anchor direction
     query_count: int
+    anchor: int                 # coordinate index of the anchor direction
     eps: float
     eps_alg: float
     mode: str = "noiseless"     # or "local-hessian"
     base_point: np.ndarray | None = None
     rho: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "matrix": self.matrix.tolist(),
-            "matrix_pre": self.matrix_pre.tolist(),
-            "coefficients": self.coefficients.tolist(),
-            "query_count": self.query_count,
-            "anchor": self.anchor,
-            "eps": self.eps,
-            "eps_alg": self.eps_alg,
-            "mode": self.mode,
-            "base_point": None if self.base_point is None else self.base_point.tolist(),
-            "rho": self.rho,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MahaModel":
-        matrix = np.asarray(d["matrix"], dtype=np.float64)
-        base_point = d.get("base_point")
-        rho = d.get("rho")
-        return cls(
-            p=int(d["p"]),
-            matrix=matrix,
-            matrix_pre=np.asarray(d.get("matrix_pre", d["matrix"]), dtype=np.float64),
-            coefficients=np.asarray(d["coefficients"], dtype=np.float64),
-            anchor=int(d["anchor"]),
-            query_count=int(d["query_count"]),
-            eps=float(d.get("eps", 0.0) or 0.0),
-            eps_alg=float(d.get("eps_alg", 0.0) or 0.0),
-            mode=d.get("mode", "noiseless"),
-            base_point=None if base_point is None else np.asarray(base_point, dtype=np.float64),
-            rho=None if rho is None else float(rho),
-        )
 
 
 def find_anchor(oracle: CountingOracle, p: int, base_point: np.ndarray | None = None,

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from . import _kernels
+from ._json import JsonArtifact
 from .core import CountingOracle, GroundTruth, SmoothnessParams
 from .cover import (CoverSizeError, Domain, EpsCover, build_cover, grid_cover_size,
                     nearest_center_batch)
@@ -51,15 +52,15 @@ def additive_radius(omega: float, params: SmoothnessParams, p: int,
 
 
 @dataclasses.dataclass
-class AdditiveModel:
+class AdditiveModel(JsonArtifact):
     """Cover centers + exact center ranks; answers triplets through the nearest centers."""
 
-    cover: EpsCover
-    table: RankTable
     omega: float
     radius: float
     rule: str
     query_count: int
+    cover: EpsCover
+    table: RankTable
 
     def eval(self, x, y) -> float:
         """Surrogate distance: the rank of c(y) around c(x)."""
@@ -76,27 +77,6 @@ class AdditiveModel:
         iz = nearest_center_batch(self.cover, Z)
         diff = self.table.ranks[ix, iy] - self.table.ranks[ix, iz]
         return np.sign(diff).astype(np.int64)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "omega": self.omega,
-            "radius": self.radius,
-            "rule": self.rule,
-            "query_count": self.query_count,
-            "cover": self.cover.to_json_dict(),
-            "table": self.table.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "AdditiveModel":
-        return cls(
-            cover=EpsCover.from_json_dict(d["cover"]),
-            table=RankTable.from_json_dict(d["table"]),
-            omega=float(d["omega"]),
-            radius=float(d["radius"]),
-            rule=d.get("rule", "thm3"),
-            query_count=int(d.get("query_count", 0)),
-        )
 
 
 def learn_additive(domain: Domain, oracle: CountingOracle, omega: float,
@@ -120,7 +100,7 @@ def learn_additive(domain: Domain, oracle: CountingOracle, omega: float,
 
 
 @dataclasses.dataclass(frozen=True)
-class MultiplicativeThresholds:
+class MultiplicativeThresholds(JsonArtifact):
     """All derived scales for the hybrid learner, from the regularity constants."""
 
     beta_hat: float
@@ -128,12 +108,7 @@ class MultiplicativeThresholds:
     xi: float
     theta: float
     omega: float
-    terms: dict
-
-    def to_json_dict(self) -> dict:
-        t = {k: ("inf" if math.isinf(v) else v) for k, v in self.terms.items()}
-        return {"beta_hat": self.beta_hat, "eps": self.eps, "xi": self.xi,
-                "theta": self.theta, "omega": self.omega, "terms": t}
+    terms: dict[str, float]
 
 
 def multiplicative_thresholds(params: SmoothnessParams, omega: float,
@@ -150,7 +125,7 @@ def multiplicative_thresholds(params: SmoothnessParams, omega: float,
     M, L, k0 = params.M_third, params.L_hess, params.kappa0
     t1 = (e / (8.0 * E)) * (9.0 * e * e / (4.0 * M * M * p ** 3))
     t2 = 4.0 * params.delta_floor * E / (e * e * k0)
-    denom = 8.0 * (omega + 2.0) * ((M * p ** 1.5 / 6.0) * math.sqrt(8.0 * k0 * E / e)
+    denom = 8.0 * (omega + 2.0) * (params.taylor_constant(p) * math.sqrt(8.0 * k0 * E / e)
                                    + (L / 2.0) * math.sqrt(omega))
     t3 = (e * omega / denom) ** 2
     beta_hat = min(t1, t2, t3)
@@ -164,7 +139,7 @@ def multiplicative_thresholds(params: SmoothnessParams, omega: float,
 
 
 @dataclasses.dataclass
-class HybridDistance:
+class HybridDistance(JsonArtifact):
     """Center ranks for far pairs, local quadratic models for near pairs.
 
     d'(x, y) = rank(c(x), c(y)) + theta   if (y-x)^T H_{c(x)} (y-x) > theta
@@ -226,40 +201,6 @@ class HybridDistance:
             "far_near": int((yg & ~zg).sum()),
             "near_far": int((~yg & zg).sum()),
         }
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cover": self.cover.to_json_dict(),
-            "table": self.table.to_json_dict(),
-            "locals": [H.tolist() for H in self.hessians],
-            "theta": self.theta,
-            "computed_thresholds": {"beta_hat": self.thresholds.beta_hat,
-                                    "eps": self.thresholds.eps, "xi": self.thresholds.xi},
-            "threshold_terms": self.thresholds.to_json_dict()["terms"],
-            "omega": self.omega,
-            "scale": self.scale,
-            "query_count": self.query_count,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "HybridDistance":
-        ct = d["computed_thresholds"]
-        beta_hat = float(ct["beta_hat"])
-        terms = {k: float(v) for k, v in d.get("threshold_terms", {}).items()}
-        # the derived theta is 4 * beta_hat; d["theta"] may be an override
-        th = MultiplicativeThresholds(beta_hat=beta_hat, eps=float(ct["eps"]),
-                                      xi=float(ct["xi"]), theta=4.0 * beta_hat,
-                                      omega=float(d["omega"]), terms=terms)
-        return cls(
-            cover=EpsCover.from_json_dict(d["cover"]),
-            table=RankTable.from_json_dict(d["table"]),
-            hessians=np.asarray(d["locals"], dtype=np.float64),
-            theta=float(d["theta"]),
-            thresholds=th,
-            omega=float(d["omega"]),
-            query_count=int(d.get("query_count", 0)),
-            scale=float(d.get("scale", 1.0)),
-        )
 
 
 def learn_multiplicative(domain: Domain, oracle: CountingOracle, omega: float,

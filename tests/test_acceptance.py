@@ -6,6 +6,7 @@ always shows the verdict for each released claim at its stated tolerance,
 query budget, and wall-clock limit.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -248,10 +249,12 @@ def test_criterion_7_regularity_audits(capsys):
     t0 = time.perf_counter()
     kl1 = DiagonalGaussianKL(1)
     dom1 = Domain.box([0.0], [0.1])
-    m3 = kl1.third_derivative_bound(0.1)
-    conforming = audit_taylor(kl1, m3, dom1, radius=0.1, n_samples=3000,
+    params1 = fixture_smoothness(kl1, dom1)
+    assert params1.M_third == kl1.third_derivative_bound(0.1)
+    conforming = audit_taylor(kl1, params1, dom1, radius=0.1, n_samples=3000,
                               rng=np.random.default_rng(0))
-    control = audit_taylor(kl1, 0.5 * m3, dom1, radius=0.1, n_samples=3000,
+    halved = dataclasses.replace(params1, M_third=0.5 * params1.M_third)
+    control = audit_taylor(kl1, halved, dom1, radius=0.1, n_samples=3000,
                            rng=np.random.default_rng(0))
     ok = conforming["ok"] and not control["ok"]
 

@@ -6,7 +6,23 @@ import json
 import numpy as np
 import pytest
 
-from tripletdist.cli import COLUMNS, main, random_psd, run_hash
+from tripletdist import Domain, SqrtMahalanobis, fixture_smoothness
+from tripletdist.cli import main, random_psd, run_hash
+
+# The CSV header of each subcommand; the CSV and run_hash depend on this order.
+COLUMNS = {
+    "learn-finite": ["n", "p", "seed", "query_count", "budget", "violations", "wall_time"],
+    "learn-maha": ["p", "kappa", "eps", "mode", "seed", "query_count", "budget",
+                   "frobenius_error", "wall_time"],
+    "learn-hessian": ["p", "eps", "fixture", "seed", "query_count", "budget",
+                      "frobenius_error", "wall_time"],
+    "learn-additive": ["omega", "rule", "radius", "centers", "samples", "seed",
+                       "query_count", "budget", "eligible", "violations", "wall_time"],
+    "learn-mult": ["omega", "eps", "xi", "theta", "centers", "scale", "samples", "seed",
+                   "query_count", "budget", "eligible", "violations", "wall_time"],
+    "audit": ["audit", "fixture", "p", "samples", "seed", "value", "threshold", "ok",
+              "wall_time"],
+}
 
 
 def _run(capsys, argv):
@@ -37,6 +53,12 @@ def test_audit_control_fails_exit_one(capsys):
                               "--m-third-scale", "0.5"])
     assert code == 1
     assert "RESULT: FAIL" in out
+
+
+def test_audit_negative_m_third_scale_is_an_error(capsys):
+    code = main(["audit", "--audit", "taylor", "--samples", "200", "--m-third-scale", "-1"])
+    assert code == 1
+    assert "M_third" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_argparse_usage_error():
@@ -89,14 +111,25 @@ def test_learn_finite_csv_and_sidecar(tmp_path, capsys):
     assert "table" in side  # learned artifact embedded for reproducibility
 
 
-def test_column_orders_are_stable():
-    assert COLUMNS["learn-maha"] == ["p", "kappa", "eps", "mode", "seed",
-                                     "query_count", "budget", "frobenius_error",
-                                     "wall_time"]
-    assert COLUMNS["learn-mult"][:6] == ["omega", "eps", "xi", "theta", "centers",
-                                         "scale"]
-    for cols in COLUMNS.values():
-        assert cols[-1] == "wall_time"
+def test_column_orders_are_stable(tmp_path, capsys):
+    mult_cfg = tmp_path / "mult.json"
+    mult_cfg.write_text(json.dumps({
+        "fixture": "squared-mahalanobis", "p": 2, "matrix": [[1.0, 0.05], [0.05, 1.02]],
+        "m_third_floor": 1.0, "l_hess_floor": 1.0, "samples": 200, "max_centers": 20}))
+    small = {
+        "learn-finite": ["--n", "4"],
+        "learn-maha": ["--p", "2", "--eps", "1e-2"],
+        "learn-hessian": ["--p", "2", "--eps", "1e-2"],
+        "learn-additive": ["--p", "1", "--omega", "0.5", "--samples", "200"],
+        "learn-mult": ["--config", str(mult_cfg)],
+        "audit": ["--samples", "200"],
+    }
+    for command, columns in COLUMNS.items():
+        out = tmp_path / command
+        code, _ = _run(capsys, [command, *small[command], "--out", str(out)])
+        assert code == 0, command
+        with open(out.with_suffix(".csv")) as fh:
+            assert next(csv.reader(fh)) == columns, command
 
 
 def test_flag_overrides_config_file(tmp_path, capsys):
@@ -259,18 +292,6 @@ def test_learn_maha_noiseless(tmp_path, capsys):
     assert "model" in side
 
 
-def test_learn_maha_noisy_delegates_to_hessian(tmp_path, capsys):
-    out = tmp_path / "maha_noisy"
-    code, _ = _run(capsys, ["learn-maha", "--mode", "noisy", "--p", "2",
-                            "--eps", "1e-2", "--seed", "4", "--out", str(out)])
-    assert code == 0
-    side = json.loads(out.with_suffix(".json").read_text())
-    row = side["rows"][0]
-    assert row["mode"] == "noisy"
-    assert row["frobenius_error"] <= 1.1 * 1e-2
-    assert "x" in side  # hessian runner records the expansion point
-
-
 def test_learn_hessian_subcommand(capsys):
     code, out = _run(capsys, ["learn-hessian", "--p", "2", "--eps", "1e-2",
                               "--seed", "0"])
@@ -309,6 +330,44 @@ def test_learn_mult_subcommand(tmp_path, capsys):
     assert side["scale_report"]["halvings"] >= 1
     assert set(side["case_counts"]) == {"both_global", "both_local", "far_near",
                                         "near_far"}
+
+
+def _params_file(tmp_path, **rename):
+    """Honest params for the p=1 sqrt-mahalanobis default fixture, keys renamed as asked."""
+    params = fixture_smoothness(SqrtMahalanobis(np.eye(1)), Domain.unit_box(1)).to_json_dict()
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({rename.get(k, k): v for k, v in params.items()}))
+    return path
+
+
+def test_learn_additive_params_file(tmp_path, capsys):
+    path = _params_file(tmp_path)
+    assert json.loads(path.read_text())["delta_floor"] == "inf"
+    out = tmp_path / "additive"
+    code, text = _run(capsys, ["learn-additive", "--p", "1", "--omega", "0.2", "--samples",
+                               "2000", "--params-file", str(path), "--out", str(out)])
+    assert code == 0
+    assert "RESULT: PASS" in text
+    assert json.loads(out.with_suffix(".json").read_text())["rows"][0]["centers"] == 10
+
+
+def test_params_file_with_misspelt_key_is_an_error(tmp_path, capsys):
+    path = _params_file(tmp_path, kappa0="kappa_0")
+    code = main(["learn-additive", "--p", "1", "--omega", "0.2", "--samples", "200",
+                 "--params-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "RESULT" not in captured.out
+    assert "error:" in captured.err and "kappa_0" in captured.err
+
+
+def test_learn_maha_rejects_keys_it_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "maha.json"
+    cfg.write_text(json.dumps({"p": 2, "fixture": "squared-mahalanobis", "mode": "noisy"}))
+    code = main(["learn-maha", "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "fixture" in err and "mode" in err
 
 
 def test_audit_taylor_passes_by_default(capsys):

@@ -1,5 +1,6 @@
 """Checkers, samplers, audits, and query-budget formulas."""
 
+import dataclasses
 import json
 import math
 
@@ -240,7 +241,9 @@ def test_taylor_audit_conforming_bound():
     truth = DiagonalGaussianKL(1)
     dom = Domain.box([0.0], [0.1])
     m3 = truth.third_derivative_bound(0.1)
-    res = audit_taylor(truth, m3, dom, radius=0.1, n_samples=3000,
+    params = fixture_smoothness(truth, dom)
+    assert params.M_third == m3
+    res = audit_taylor(truth, params, dom, radius=0.1, n_samples=3000,
                        rng=np.random.default_rng(0))
     assert res["ok"]
     assert res["max_ratio"] == pytest.approx(0.9265370110786337, rel=1e-12)
@@ -253,7 +256,8 @@ def test_taylor_audit_halved_constant_fails():
     truth = DiagonalGaussianKL(1)
     dom = Domain.box([0.0], [0.1])
     m3 = truth.third_derivative_bound(0.1)
-    res = audit_taylor(truth, 0.5 * m3, dom, radius=0.1, n_samples=3000,
+    halved = dataclasses.replace(fixture_smoothness(truth, dom), M_third=0.5 * m3)
+    res = audit_taylor(truth, halved, dom, radius=0.1, n_samples=3000,
                        rng=np.random.default_rng(0))
     assert not res["ok"]
     assert res["max_ratio"] == pytest.approx(1.8530740221572675, rel=1e-12)
@@ -262,7 +266,8 @@ def test_taylor_audit_halved_constant_fails():
 def test_taylor_audit_quadratic_fixture_zero_residual(rng):
     truth = SquaredMahalanobis(np.array([[1.0, 0.2], [0.2, 0.7]]))
     dom = Domain.unit_box(2)
-    res = audit_taylor(truth, 1e-6, dom, radius=0.5, n_samples=2000, rng=rng)
+    params = fixture_smoothness(truth, dom, m_third_floor=1e-6)
+    res = audit_taylor(truth, params, dom, radius=0.5, n_samples=2000, rng=rng)
     assert res["ok"]
     assert res["max_ratio"] <= 1e-3  # residual is exactly 0 up to rounding
 

@@ -28,7 +28,6 @@ from tripletdist.maha import (
     design_matrix,
     find_anchor,
     hessian_eps_bound,
-    per_coefficient_budget,
     solve_model,
 )
 
@@ -187,11 +186,6 @@ def test_binary_search_bracketing_and_accuracy(c_star, eps_alg):
             lo = c
         if math.isfinite(hi):
             assert lo <= c_star <= hi
-
-
-def test_per_coefficient_budget_formula():
-    assert per_coefficient_budget(2, 3.0, 1e-3) == pytest.approx(
-        math.log2(2 * 4 * 9 / 1e-3))
 
 
 # ---------------------------------------------------------------------------

@@ -319,8 +319,9 @@ def test_hybrid_consistency_with_eval_in_pitched_cases(rng):
 def test_hybrid_json_round_trip(rng):
     model = _two_center_hybrid(theta=0.05)
     data = json.loads(json.dumps(model.to_json_dict()))
-    assert set(data) >= {"cover", "table", "locals", "theta", "computed_thresholds"}
-    assert set(data["computed_thresholds"]) == {"beta_hat", "eps", "xi"}
+    assert set(data) == {"cover", "table", "hessians", "theta", "thresholds", "omega",
+                         "query_count", "scale"}
+    assert set(data["thresholds"]) == {"beta_hat", "eps", "xi", "theta", "omega", "terms"}
     back = HybridDistance.from_json_dict(data)
     X = rng.uniform(0, 1, (100, 1))
     Y = rng.uniform(0, 1, (100, 1))
