@@ -30,14 +30,13 @@ import numpy as np
 
 from .core import CountingOracle, SmoothnessParams, curvature_scale, make_ground_truth
 from .cover import Domain
-from .evaluation import (assert_query_budget, audit_quadratic_sandwich, audit_taylor,
-                         audit_hessian_band, check_additive, check_multiplicative,
+from .evaluation import (audit_quadratic_sandwich, audit_taylor, audit_hessian_band,
+                         check_additive, check_multiplicative, count_rank_violations,
                          fixture_smoothness, frobenius_error, near_pair_triplets,
                          query_budget, sample_triplets)
 from .finite import learn_finite_distance
 from .maha import learn_local_hessian, learn_mahalanobis
-from .smooth import (learn_additive, learn_multiplicative_autoscale,
-                     multiplicative_thresholds)
+from .smooth import learn_additive, learn_multiplicative_autoscale
 
 
 class UsageError(ValueError):
@@ -97,8 +96,8 @@ CONFIG_KEYS = {
     "learn-finite": {"seed", "n", "eq_tol"} | _FIXTURE_KEYS,
     "learn-maha": {"seed", "p", "kappa", "eps", "matrix"},
     "learn-hessian": {"seed", "eps"} | _FIXTURE_KEYS | _PARAMS_KEYS,
-    "learn-additive": {"seed", "omega", "rule", "samples", "eq_tol", "radius", "cover",
-                       "max_centers"} | _FIXTURE_KEYS | _PARAMS_KEYS,
+    "learn-additive": {"seed", "omega", "rule", "samples", "eq_tol", "radius", "max_centers"}
+                      | _FIXTURE_KEYS | _PARAMS_KEYS,
     "learn-mult": {"seed", "omega", "samples", "eq_tol", "max_centers", "override_eps",
                    "override_xi", "override_theta"} | _FIXTURE_KEYS | _PARAMS_KEYS,
     "audit": {"seed", "audit", "samples", "m_third_scale", "eps"} | _FIXTURE_KEYS
@@ -134,9 +133,7 @@ def run_learn_finite(cfg: dict):
     D = np.empty((n, n))
     for i in range(n):
         D[i] = truth.distance_batch(np.repeat(points[i][None, :], n, axis=0), points)
-    true_sign = np.sign(D[:, :, None] - D[:, None, :])
-    table_sign = np.sign(table.ranks[:, :, None] - table.ranks[:, None, :])
-    violations = int((true_sign != table_sign).sum())
+    violations = count_rank_violations(D, table.ranks)
     budget = query_budget("thm1", n=n)
     row = {"n": n, "p": p, "seed": seed, "query_count": table.query_count,
            "budget": budget, "violations": violations, "wall_time": wall}
@@ -202,7 +199,6 @@ def run_learn_additive(cfg: dict):
     t0 = time.perf_counter()
     model = learn_additive(domain, oracle, omega, params=params, rule=rule,
                            radius=cfg.get("radius"),
-                           cover_method=cfg.get("cover", "grid"),
                            max_centers=int(cfg.get("max_centers", 10 ** 6)))
     wall = time.perf_counter() - t0
     X, Y, Z = sample_triplets(domain, samples, rng)
@@ -436,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fixture", default=None)
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--cover", choices=["grid", "greedy"], default=None)
     sp.add_argument("--params-file", dest="params_file", default=None)
 
     sp = sub.add_parser("learn-mult", help="hybrid model with multiplicative-gap guarantee")

@@ -11,20 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable
 
 import numpy as np
 
 from ._json import JsonArtifact
 
 Array = np.ndarray
-
-GROUND_TRUTH_KINDS = (
-    "sqrt-mahalanobis",
-    "squared-mahalanobis",
-    "varying-hessian-quadratic",
-    "diagonal-gaussian-kl",
-)
 
 
 def _as_point(x, dim: int | None = None) -> Array:
@@ -257,7 +249,7 @@ _KIND_MAP: dict[str, type] = {
 
 
 def make_ground_truth(kind: str, **kwargs) -> GroundTruth:
-    """Construct a ground truth by kind name (see GROUND_TRUTH_KINDS)."""
+    """Construct a ground truth by kind name (an unknown name raises, listing the known ones)."""
     try:
         cls = _KIND_MAP[kind]
     except KeyError:

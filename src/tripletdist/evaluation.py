@@ -104,6 +104,19 @@ def check_multiplicative(truth: GroundTruth, answer_batch, omega: float, X, Y, Z
     )
 
 
+def count_rank_violations(D, ranks) -> int:
+    """Ordered triples (i, j, k) with sign(D[i,j] - D[i,k]) != sign(ranks[i,j] - ranks[i,k]).
+
+    Counted one pivot i at a time, so memory stays O(n^2) for an n x n table.
+    """
+    total = 0
+    for d, r in zip(np.asarray(D, dtype=np.float64), np.asarray(ranks)):
+        true_sign = np.sign(d[:, None] - d[None, :])
+        table_sign = np.sign(r[:, None] - r[None, :])
+        total += int((true_sign != table_sign).sum())
+    return total
+
+
 def truth_answer_batch(truth: GroundTruth, tol: float = 0.0):
     """The ground truth wearing a learner's interface (for checker calibration)."""
 
@@ -148,8 +161,6 @@ def near_pair_triplets(domain: Domain, scales, n_per_scale: int,
     Offsets are clipped to the box; eligibility is always recomputed from the
     truth by the checker, so clipping only shifts the stratum, never the score.
     """
-    if domain.kind != "axis-box":
-        raise ValueError("near-pair sampling is defined for box domains")
     p = domain.dim
     blocks_x, blocks_y, blocks_z = [], [], []
     for s in scales:
@@ -328,9 +339,12 @@ def fixture_smoothness(truth: GroundTruth, domain: Domain, *,
     curvature radius min(curvature_scale(eig_lo, M_third, p), diam) already spans the
     whole domain, else a provable lower bound on distances past that radius.
 
-    For the sqrt kind the Hessian-related fields (M_third, L_hess and the
-    eigenvalue band, taken from the matrix itself) are formal placeholders:
-    no code path consumes them for that kind.
+    For the sqrt kind the Hessian-related fields (M_third = 1, L_hess = 1 and
+    the eigenvalue band, taken from the matrix itself) are formal placeholders,
+    not bounds the distance satisfies: it is not twice differentiable where
+    x = y.  The thm3 radius reads only alpha and L_smooth, but
+    ``additive_radius(rule="cor4")`` reads eig_hi and M_third, so a cor4
+    radius for this kind rests on the placeholders.
     """
     p = domain.dim
     diam = domain.diameter()
@@ -366,7 +380,7 @@ def fixture_smoothness(truth: GroundTruth, domain: Domain, *,
                                 eig_lo=lo, eig_hi=hi, L_hess=L_h,
                                 delta_floor=floor_from(delta_cap, 0.5 * lo), kappa0=kappa0)
     if isinstance(truth, DiagonalGaussianKL):
-        R = float(domain.side_lengths.max()) if domain.kind == "axis-box" else diam
+        R = float(domain.side_lengths.max())
         m3 = truth.third_derivative_bound(R)
         # per-coordinate profile g(t) = (e^t - t - 1)/2 satisfies g(t) >= c_R t^2
         # on [-R, R] with c_R = g(-R)/R^2 (the profile's ratio is increasing)

@@ -81,14 +81,14 @@ class AdditiveModel(JsonArtifact):
 
 def learn_additive(domain: Domain, oracle: CountingOracle, omega: float,
                    params: SmoothnessParams | None = None, rule: str = "thm3",
-                   radius: float | None = None, cover_method: str = "grid",
+                   radius: float | None = None,
                    max_centers: int = 10 ** 6) -> AdditiveModel:
     """Learn a rank surrogate correct on every triplet with distance gap > omega."""
     if radius is None:
         if params is None:
             raise ValueError("params are required unless an explicit radius is given")
         radius = additive_radius(omega, params, domain.dim, rule)
-    cover = build_cover(domain, radius, method=cover_method, max_centers=max_centers)
+    cover = build_cover(domain, radius, max_centers=max_centers)
     start = oracle.query_count
     table = learn_finite_distance(cover.centers, oracle)
     return AdditiveModel(cover=cover, table=table, omega=omega, radius=radius, rule=rule,
@@ -205,7 +205,6 @@ class HybridDistance(JsonArtifact):
 
 def learn_multiplicative(domain: Domain, oracle: CountingOracle, omega: float,
                          params: SmoothnessParams, overrides: dict | None = None,
-                         cover_method: str = "grid",
                          max_centers: int = 10 ** 6) -> HybridDistance:
     """Learn the hybrid rank/quadratic model at the derived threshold scales.
 
@@ -218,7 +217,7 @@ def learn_multiplicative(domain: Domain, oracle: CountingOracle, omega: float,
     eps = float(overrides.get("eps", th.eps))
     xi = float(overrides.get("xi", th.xi))
     theta = float(overrides.get("theta", th.theta))
-    cover = build_cover(domain, eps, method=cover_method, max_centers=max_centers)
+    cover = build_cover(domain, eps, max_centers=max_centers)
     start = oracle.query_count
     table = learn_finite_distance(cover.centers, oracle)
     hessians = np.stack([
@@ -242,8 +241,6 @@ def learn_multiplicative_autoscale(domain: Domain, truth: GroundTruth, omega: fl
     candidate domain because the separation floor depends on the domain.
     Returns the model (with ``scale`` set) and a report dict.
     """
-    if domain.kind != "axis-box":
-        raise ValueError("autoscaling is defined for box domains")
     scale = 1.0
     dom = domain
     for halvings in range(max_halvings + 1):

@@ -5,8 +5,6 @@ distances, dense sorting, finite differences) rather than reusing the library's
 own code paths, so a bug in a learner cannot hide behind the same bug in a test.
 """
 
-import math
-
 import numpy as np
 import pytest
 

@@ -65,6 +65,10 @@ def test_unknown_subcommand_is_argparse_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["learn-everything"])
     assert exc.value.code == 2
+    # there is one cover builder, so learn-additive takes no --cover flag
+    with pytest.raises(SystemExit) as exc:
+        main(["learn-additive", "--cover", "greedy"])
+    assert exc.value.code == 2
 
 
 def test_sweep_without_command_exit_two(tmp_path, capsys):
@@ -368,6 +372,12 @@ def test_learn_maha_rejects_keys_it_does_not_read(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "fixture" in err and "mode" in err
+    # learn-additive reads no cover key: there is one cover builder
+    cfg.write_text(json.dumps({"cover": "greedy"}))
+    code = main(["learn-additive", "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "'cover'" in err
 
 
 def test_audit_taylor_passes_by_default(capsys):

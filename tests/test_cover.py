@@ -1,4 +1,4 @@
-"""Domains and epsilon-covers: grid construction, greedy packing, nearest lookup."""
+"""Box domains and their midpoint-grid covers: construction, radius, nearest lookup."""
 
 import json
 import math
@@ -13,7 +13,6 @@ from tripletdist.cover import (
     covering_radius_check,
     grid_cover_counts,
     grid_cover_size,
-    min_pairwise_separation,
     nearest_center_batch,
 )
 
@@ -40,13 +39,6 @@ def test_unit_box():
     dom = Domain.unit_box(3)
     np.testing.assert_array_equal(dom.side_lengths, [1.0, 1.0, 1.0])
     assert dom.diameter() == pytest.approx(math.sqrt(3.0))
-
-
-def test_finite_domain_diameter():
-    dom = Domain.finite([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
-    assert dom.diameter() == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        Domain.finite(np.empty((0, 2)))
 
 
 def test_contains_and_sampling(rng):
@@ -129,11 +121,6 @@ def test_grid_rejects_nonpositive_radius():
         build_cover(Domain.unit_box(1), 0.0)
 
 
-def test_grid_rejects_finite_domain():
-    with pytest.raises(ValueError):
-        build_cover(Domain.finite([[0.0], [1.0]]), 0.5, method="grid")
-
-
 def test_cover_cap_raises_with_required_count():
     dom = Domain.unit_box(3)
     required = grid_cover_size(dom, 0.001)
@@ -142,49 +129,6 @@ def test_cover_cap_raises_with_required_count():
     assert err.value.required == required
     assert err.value.cap == 1000
     assert str(required) in str(err.value)
-
-
-# ---------------------------------------------------------------------------
-# greedy covers
-
-
-def test_greedy_on_finite_points_packs_and_covers():
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(0, 1, (400, 2))
-    dom = Domain.finite(pts)
-    cover = build_cover(dom, 0.2, method="greedy")
-    assert min_pairwise_separation(cover) > 0.2
-    assert covering_radius_check(cover, dom) <= 0.2 + 1e-12
-
-
-def test_greedy_idempotent_on_its_own_centers():
-    """Re-covering the centers at the same radius returns every center."""
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(0, 1, (300, 2))
-    cover = build_cover(Domain.finite(pts), 0.25, method="greedy")
-    again = build_cover(Domain.finite(cover.centers), 0.25, method="greedy")
-    assert again.size == cover.size
-    np.testing.assert_allclose(np.sort(again.centers, axis=0),
-                               np.sort(cover.centers, axis=0))
-
-
-def test_greedy_on_box_covers_all_samples(rng):
-    dom = Domain.unit_box(2)
-    cover = build_cover(dom, 0.3, method="greedy")
-    assert covering_radius_check(cover, dom, n_samples=100_000, rng=rng) <= 0.3 + 1e-12
-    assert min_pairwise_separation(cover) > 0.95 * 0.3
-
-
-def test_greedy_cap_enforced():
-    rng = np.random.default_rng(11)
-    pts = rng.uniform(0, 1, (500, 2))
-    with pytest.raises(CoverSizeError):
-        build_cover(Domain.finite(pts), 0.01, method="greedy", max_centers=5)
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError, match="method"):
-        build_cover(Domain.unit_box(1), 0.5, method="quantum")
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +149,6 @@ def test_nearest_center_batch_matches_linear_scan(rng):
     expected = np.array([
         int(np.argmin(((centers - x) ** 2).sum(axis=1))) for x in X])
     np.testing.assert_array_equal(got, expected)
-
-
-def test_min_pairwise_separation_single_center():
-    assert min_pairwise_separation(EpsCover(centers=np.array([[0.0]]), radius=1.0)) == math.inf
 
 
 # ---------------------------------------------------------------------------

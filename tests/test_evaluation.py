@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from tripletdist.evaluation import (
     audit_hessian_band,
     audit_quadratic_sandwich,
     audit_taylor,
+    count_rank_violations,
     fixture_smoothness,
     frobenius_error,
     query_budget,
@@ -155,6 +157,39 @@ def test_exemplars_capped_at_ten(rng):
     assert len(report.violation_exemplars) == 10
 
 
+def test_count_rank_violations_matches_triple_loop():
+    rng = np.random.default_rng(4)
+    n = 9
+    D = rng.uniform(0, 1, (n, n))
+    D[0, 3] = D[0, 5]  # a true tie
+    ranks = np.argsort(np.argsort(D, axis=1), axis=1)
+    ranks[1, [2, 6]] = ranks[1, [6, 2]]  # swapped order
+    ranks[4, 7] = ranks[4, 8]  # false tie
+    ranks[0, 3] = ranks[0, 5] + 1  # broken tie
+    expected = sum(np.sign(D[i, j] - D[i, k]) != np.sign(ranks[i, j] - ranks[i, k])
+                   for i in range(n) for j in range(n) for k in range(n))
+    assert expected > 0
+    assert count_rank_violations(D, ranks) == expected
+    exact = np.argsort(np.argsort(D, axis=1), axis=1)
+    assert count_rank_violations(D[1:], exact[1:]) == 0
+
+
+def test_count_rank_violations_memory_is_quadratic():
+    """At n=200 one n x n x n sign array alone would take 64 MB."""
+    rng = np.random.default_rng(5)
+    D = rng.uniform(0, 1, (200, 200))
+    ranks = np.argsort(np.argsort(D, axis=1), axis=1)
+    ranks[:, [0, 1]] = ranks[:, [1, 0]]
+    tracemalloc.start()
+    try:
+        count = count_rank_violations(D, ranks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert count > 0
+
+
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -190,8 +225,6 @@ def test_near_pair_triplets_skips_bad_scales(rng):
     assert X.shape[0] == 100  # only the single finite positive scale contributes
     with pytest.raises(ValueError, match="scale"):
         near_pair_triplets(dom, [math.inf], 100, rng)
-    with pytest.raises(ValueError, match="box"):
-        near_pair_triplets(Domain.finite([[0.0], [1.0]]), [0.1], 10, rng)
 
 
 def test_near_pair_triplets_deterministic():

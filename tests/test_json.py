@@ -15,7 +15,7 @@ TABLE = RankTable(points=np.array([[0.25], [0.75]]), ranks=np.array([[0, 1], [1,
                   query_count=2)
 THRESHOLDS = MultiplicativeThresholds(beta_hat=0.5, eps=0.1, xi=0.2, theta=2.0, omega=0.5,
                                       terms={"curvature": 0.5, "separation": math.inf})
-COVER_DOC = {"radius": 0.25, "centers": [[0.25], [0.75]], "method": "grid"}
+COVER_DOC = {"radius": 0.25, "centers": [[0.25], [0.75]]}
 TABLE_DOC = {"points": [[0.25], [0.75]], "ranks": [[0, 1], [1, 0]], "query_count": 2}
 THRESHOLDS_DOC = {"beta_hat": 0.5, "eps": 0.1, "xi": 0.2, "theta": 2.0, "omega": 0.5,
                   "terms": {"curvature": 0.5, "separation": "inf"}}
@@ -69,6 +69,8 @@ def test_unknown_key_is_an_error_naming_it():
         SmoothnessParams.from_json_dict(dict(PARAMS_DOC, kappa_0=1.0))
     with pytest.raises(ValueError, match="centres"):
         AdditiveModel.from_json_dict(dict(ADDITIVE_DOC, cover=dict(COVER_DOC, centres=[])))
+    with pytest.raises(ValueError, match="method"):
+        EpsCover.from_json_dict(dict(COVER_DOC, method="grid"))
     with pytest.raises(ValueError, match="locals"):
         HybridDistance.from_json_dict(dict(HYBRID_DOC, locals=[]))
 

@@ -501,13 +501,6 @@ def test_autoscale_raises_when_halvings_exhausted():
                                        max_halvings=1)
 
 
-def test_autoscale_rejects_finite_domain():
-    truth = SquaredMahalanobis(np.eye(2))
-    dom = Domain.finite([[0.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(ValueError, match="box"):
-        learn_multiplicative_autoscale(dom, truth, 0.5, lambda d: _params())
-
-
 # ---------------------------------------------------------------------------
 # quadratic sandwich (smoothness/strong-convexity zone)
 
