@@ -29,14 +29,14 @@ import time
 import numpy as np
 
 from .core import CountingOracle, SmoothnessParams, curvature_scale, make_ground_truth
-from .cover import Domain
+from .cover import Domain, grid_cover_size
 from .evaluation import (audit_quadratic_sandwich, audit_taylor, audit_hessian_band,
                          check_additive, check_multiplicative, count_rank_violations,
                          fixture_smoothness, frobenius_error, near_pair_triplets,
                          query_budget, sample_triplets)
 from .finite import learn_finite_distance
 from .maha import learn_local_hessian, learn_mahalanobis
-from .smooth import learn_additive, learn_multiplicative_autoscale
+from .smooth import additive_radius, learn_additive, learn_multiplicative_autoscale
 
 
 class UsageError(ValueError):
@@ -196,9 +196,16 @@ def run_learn_additive(cfg: dict):
     truth, domain = build_fixture(cfg, rng)
     params = load_params(cfg, truth, domain)
     oracle = CountingOracle(truth, equality_tolerance=float(cfg.get("eq_tol", 0.0)))
+    radius = cfg.get("radius")
+    if radius is None:
+        radius = additive_radius(omega, params, domain.dim, rule)
+    centers = grid_cover_size(domain, radius)
+    budget = query_budget("thm1", n=centers)
+    # The rank table costs up to n^2 log n queries; say so before a long run starts.
+    print(f"learn-additive: radius {radius:.3g} gives a {centers}-center grid, "
+          f"thm1 budget {budget:.3g} queries", file=sys.stderr)
     t0 = time.perf_counter()
-    model = learn_additive(domain, oracle, omega, params=params, rule=rule,
-                           radius=cfg.get("radius"),
+    model = learn_additive(domain, oracle, omega, params=params, rule=rule, radius=radius,
                            max_centers=int(cfg.get("max_centers", 10 ** 6)))
     wall = time.perf_counter() - t0
     X, Y, Z = sample_triplets(domain, samples, rng)
@@ -207,7 +214,6 @@ def run_learn_additive(cfg: dict):
     report = check_additive(truth, model.answer_batch, omega, X, Y, Z,
                             query_count=model.query_count,
                             thresholds={"radius": model.radius, "rule": rule})
-    budget = query_budget("thm1", n=model.cover.size)
     row = {"omega": omega, "rule": rule, "radius": model.radius,
            "centers": model.cover.size, "samples": X.shape[0], "seed": seed,
            "query_count": model.query_count, "budget": budget,

@@ -269,8 +269,9 @@ class CountingOracle:
     ``query(x, y, z)`` returns sign(d(x, y) - d(x, z)) in {-1, 0, +1}; the 0
     label is produced iff |d(x, y) - d(x, z)| <= equality_tolerance (default
     0.0, i.e. exact ties only).  Every call increments ``query_count`` by one,
-    including repeated identical queries.  A non-finite distance (overflow)
-    raises ValueError rather than turning into a label.
+    including repeated identical queries.  The points are validated once and
+    both distances come from one ``truth.distance_batch`` call.  A non-finite
+    distance (overflow) raises ValueError rather than turning into a label.
     """
 
     def __init__(self, truth: GroundTruth, equality_tolerance: float = 0.0):
@@ -286,8 +287,7 @@ class CountingOracle:
         y = _as_point(y, dim)
         z = _as_point(z, dim)
         self.query_count += 1
-        dxy = self.truth.distance(x, y)
-        dxz = self.truth.distance(x, z)
+        dxy, dxz = self.truth.distance_batch(x, np.array((y, z))).tolist()
         if not (math.isfinite(dxy) and math.isfinite(dxz)):
             raise ValueError(f"non-finite distance in triplet query: d(x, y) = {dxy}, "
                              f"d(x, z) = {dxz}")

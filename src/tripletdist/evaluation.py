@@ -162,24 +162,23 @@ def near_pair_triplets(domain: Domain, scales, n_per_scale: int,
     truth by the checker, so clipping only shifts the stratum, never the score.
     """
     p = domain.dim
-    blocks_x, blocks_y, blocks_z = [], [], []
-    for s in scales:
-        s = float(s)
-        if not (s > 0 and math.isfinite(s)):
-            continue
-        n_nn = n_per_scale // 2
-        n_fn = n_per_scale - n_nn
-        x = domain.sample_uniform(rng, n_nn)
-        y = _clip_to_box(x + s * rng.uniform(0.5, 1.5, (n_nn, 1)) * _unit_directions(rng, n_nn, p), domain)
-        z = _clip_to_box(x + s * rng.uniform(0.5, 1.5, (n_nn, 1)) * _unit_directions(rng, n_nn, p), domain)
-        blocks_x.append(x); blocks_y.append(y); blocks_z.append(z)
-        x = domain.sample_uniform(rng, n_fn)
-        y = domain.sample_uniform(rng, n_fn)
-        z = _clip_to_box(x + s * rng.uniform(0.5, 1.5, (n_fn, 1)) * _unit_directions(rng, n_fn, p), domain)
-        blocks_x.append(x); blocks_y.append(y); blocks_z.append(z)
-    if not blocks_x:
+    scales = [s for s in map(float, scales) if s > 0 and math.isfinite(s)]
+    if not scales:
         raise ValueError("no finite positive scales given")
-    return (np.concatenate(blocks_x), np.concatenate(blocks_y), np.concatenate(blocks_z))
+    n_nn = n_per_scale // 2
+    n_fn = n_per_scale - n_nn
+    # filled in place: the blocks never coexist with a concatenated copy
+    X, Y, Z = (np.empty((len(scales) * n_per_scale, p)) for _ in range(3))
+    for i, s in enumerate(scales):
+        nn = slice(i * n_per_scale, i * n_per_scale + n_nn)
+        fn = slice(nn.stop, nn.stop + n_fn)
+        X[nn] = domain.sample_uniform(rng, n_nn)
+        Y[nn] = _clip_to_box(X[nn] + s * rng.uniform(0.5, 1.5, (n_nn, 1)) * _unit_directions(rng, n_nn, p), domain)
+        Z[nn] = _clip_to_box(X[nn] + s * rng.uniform(0.5, 1.5, (n_nn, 1)) * _unit_directions(rng, n_nn, p), domain)
+        X[fn] = domain.sample_uniform(rng, n_fn)
+        Y[fn] = domain.sample_uniform(rng, n_fn)
+        Z[fn] = _clip_to_box(X[fn] + s * rng.uniform(0.5, 1.5, (n_fn, 1)) * _unit_directions(rng, n_fn, p), domain)
+    return X, Y, Z
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +292,9 @@ def query_budget(formula: str, **kw) -> float:
     thm4: p(p+1)/2 * log2(2 p^2 kappa^2 / eps) + p        [matrix recovery]
     thm5: thm4 with kappa = E/e                           [local Hessian]
     thm6: 2 * (N^2 log2(N) + N * thm5(xi))                [hybrid; x2 slack]
+
+    thm1's + (n-1) per pivot is slack: ``finite.learn_ranking`` splits ties
+    with the labels its mergesort already got and asks no further query.
     """
     if formula == "thm1":
         n = kw["n"]

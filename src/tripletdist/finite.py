@@ -6,9 +6,11 @@ ranks 1..g (nearest group first; ties share a rank).  sign(rank(y) - rank(y'))
 then reproduces sign(d(x, y) - d(x, y')) for every ordered triplet.
 
 Query cost per pivot: a top-down mergesort over m = n-1 points
-(<= ceil(m*log2(m)) comparisons) plus one adjacent pass of m-1 queries that
-splits the sorted order into tie groups; ``evaluation.query_budget("thm1")``
-is the resulting bound for the whole table.
+(<= ceil(m*log2(m)) comparisons) and nothing more.  The pass that splits the
+sorted order into tie groups reads the labels the merge already got: a
+stable mergesort compares every pair that ends up adjacent in its output
+(Knuth, TAOCP Vol. 3, 5.3).  ``evaluation.query_budget("thm1")`` bounds the
+whole table.
 """
 
 from __future__ import annotations
@@ -45,24 +47,36 @@ def _merge_sort(items: list[int], cmp) -> list[int]:
 def learn_ranking(pivot, others, oracle: CountingOracle) -> list[list[int]]:
     """Tie groups of row-indices of ``others``, ordered nearest-to-farthest from ``pivot``.
 
-    Each query is a triplet (pivot, others[a], others[b]).  Points at equal
-    distance from the pivot (0 labels) land in the same group.
+    Each query is a triplet (pivot, others[a], others[b]), asked only by the
+    mergesort.  Points at equal distance from the pivot (0 labels) land in
+    the same group; the tie pass reuses the merge's labels and asks nothing.
     """
     pivot = np.asarray(pivot, dtype=np.float64)
-    others = np.asarray(others, dtype=np.float64)
-    m = others.shape[0]
+    rows = list(np.asarray(others, dtype=np.float64))
+    m = len(rows)
     if m == 0:
         return []
 
+    labels: dict[tuple[int, int], int] = {}
+
     def cmp(a: int, b: int) -> int:
-        return oracle.query(pivot, others[a], others[b])
+        label = oracle.query(pivot, rows[a], rows[b])
+        labels[a, b] = label
+        return label
 
     order = _merge_sort(list(range(m)), cmp)
     groups = [[order[0]]]
     for prev, nxt in zip(order, order[1:]):
         # sorted order guarantees d(pivot, prev) <= d(pivot, nxt); a 0 label
-        # means the two are tied, anything else starts a new group.
-        if oracle.query(pivot, others[prev], others[nxt]) == 0:
+        # means the two are tied, anything else starts a new group.  A merge
+        # that compared them as (nxt, prev) put nxt second, so that label was +1.
+        if (prev, nxt) in labels:
+            tied = labels[prev, nxt] == 0
+        elif (nxt, prev) in labels:
+            tied = False
+        else:
+            raise RuntimeError(f"the mergesort never compared adjacent points {prev} and {nxt}")
+        if tied:
             groups[-1].append(nxt)
         else:
             groups.append([nxt])

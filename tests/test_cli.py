@@ -93,6 +93,17 @@ def test_unknown_fixture_exit_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_learn_additive_announces_grid_and_budget_on_stderr(capsys):
+    code = main(["learn-additive", "--p", "1", "--omega", "0.5", "--samples", "200"])
+    captured = capsys.readouterr()
+    assert code == 0
+    # 4 centers: thm1 budget 4 * (ceil(3 log2 3) + 3) = 32
+    assert captured.err.splitlines() == [
+        "learn-additive: radius 0.125 gives a 4-center grid, thm1 budget 32 queries"]
+    assert "thm1 budget" not in captured.out
+    assert captured.out.rstrip().endswith("RESULT: PASS")
+
+
 # ---------------------------------------------------------------------------
 # outputs
 

@@ -19,7 +19,7 @@ from tripletdist import (
     make_ground_truth,
 )
 
-from conftest import finite_difference_hessian, truth_label
+from conftest import finite_difference_hessian, random_spd, truth_label
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +292,62 @@ def test_label_antisymmetric_in_y_z(x, y, z):
     assert oracle.query([x], [y], [z]) == -oracle.query([x], [z], [y])
 
 
+LABEL_DIMS = (1, 2, 3, 6)
+LABEL_KINDS = ("sqrt-mahalanobis", "squared-mahalanobis", "varying-hessian-quadratic",
+               "diagonal-gaussian-kl")
+
+
+def _truth_of_kind(kind: str, p: int):
+    """One fixture per ground-truth kind, with a non-diagonal matrix where it has one."""
+    M = random_spd(p, 4.0, np.random.default_rng(p))
+    return {
+        "sqrt-mahalanobis": lambda: SqrtMahalanobis(M),
+        "squared-mahalanobis": lambda: SquaredMahalanobis(M),
+        "varying-hessian-quadratic": lambda: VaryingHessianQuadratic(M, amplitude=0.2),
+        "diagonal-gaussian-kl": lambda: DiagonalGaussianKL(p),
+    }[kind]()
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_label_matches_reference_sign(seed):
-    truth = VaryingHessianQuadratic(np.eye(2), amplitude=0.2)
-    oracle = CountingOracle(truth)
     r = np.random.default_rng(seed)
-    x, y, z = r.uniform(-1, 1, (3, 2))
-    assert oracle.query(x, y, z) == truth_label(truth, x, y, z)
+    for kind in LABEL_KINDS:
+        for p in LABEL_DIMS:
+            truth = _truth_of_kind(kind, p)
+            oracle = CountingOracle(truth)
+            x, y, z = r.uniform(-1, 1, (3, p))
+            assert oracle.query(x, y, z) == truth_label(truth, x, y, z), (kind, p)
+
+
+@pytest.mark.parametrize("p", LABEL_DIMS)
+@pytest.mark.parametrize("kind", LABEL_KINDS)
+def test_label_on_mirrored_grid_triplets(kind, p):
+    """(x, x + o, x - o) on a dyadic grid: exact differences, so even kinds tie exactly."""
+    truth = _truth_of_kind(kind, p)
+    oracle = CountingOracle(truth)
+    grid = np.arange(-4, 5) / 8.0
+    r = np.random.default_rng(p)
+    for _ in range(50):
+        x, o = r.choice(grid, (2, p))
+        y, z = x + o, x - o
+        label = oracle.query(x, y, z)
+        assert label == truth_label(truth, x, y, z)
+        if kind != "diagonal-gaussian-kl":   # the KL divergence is not even in y - x
+            assert label == 0
+    assert oracle.query_count == 50
+
+
+@pytest.mark.parametrize("p", LABEL_DIMS)
+@pytest.mark.parametrize("kind", LABEL_KINDS)
+def test_two_row_batch_equals_one_row_calls(kind, p):
+    """The oracle's one 2-row call gives the bits of two separate evaluations."""
+    truth = _truth_of_kind(kind, p)
+    r = np.random.default_rng(100 + p)
+    for _ in range(100):
+        x, y, z = r.uniform(-1, 1, (3, p))
+        two = truth.distance_batch(x, np.array((y, z)))
+        assert np.array_equal(two, [truth.distance(x, y), truth.distance(x, z)])
 
 
 # ---------------------------------------------------------------------------

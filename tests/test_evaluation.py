@@ -227,6 +227,17 @@ def test_near_pair_triplets_skips_bad_scales(rng):
         near_pair_triplets(dom, [math.inf], 100, rng)
 
 
+def test_near_pair_triplets_peak_memory_near_output_size(rng):
+    """The strata are written into the outputs, never held twice."""
+    tracemalloc.start()
+    try:
+        X, Y, Z = near_pair_triplets(Domain.unit_box(2), [0.1, 0.01, 0.001], 40_000, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (X.nbytes + Y.nbytes + Z.nbytes)
+
+
 def test_near_pair_triplets_deterministic():
     dom = Domain.unit_box(3)
     a = near_pair_triplets(dom, [0.1, 0.2], 50, np.random.default_rng(3))

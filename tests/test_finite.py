@@ -1,5 +1,6 @@
 """Exact rank-table learning on finite point sets."""
 
+import collections
 import json
 import math
 
@@ -17,6 +18,8 @@ from tripletdist import (
     learn_ranking,
     query_budget,
 )
+
+from tripletdist import finite
 
 from conftest import brute_force_ranks, random_spd
 
@@ -181,6 +184,59 @@ def test_tie_heavy_input_stays_within_budget():
     assert table.query_count <= query_budget("thm1", n=16)
     np.testing.assert_array_equal(
         table.ranks, brute_force_ranks(xs, SqrtMahalanobis(np.eye(1))))
+
+
+class _RecordingOracle(CountingOracle):
+    """Counts how often each (pivot, {y, z}) triplet is asked."""
+
+    def __init__(self, truth):
+        super().__init__(truth)
+        self.asked = collections.Counter()
+
+    def query(self, x, y, z):
+        pair = frozenset((np.asarray(y).tobytes(), np.asarray(z).tobytes()))
+        self.asked[np.asarray(x).tobytes(), pair] += 1
+        return super().query(x, y, z)
+
+
+def _merge_comparisons(points, truth) -> int:
+    """Comparisons the mergesort makes over all pivots when fed true distances."""
+    n = points.shape[0]
+    total = 0
+    for i in range(n):
+        d = [truth.distance(points[i], points[j]) for j in range(n) if j != i]
+
+        def cmp(a, b):
+            nonlocal total
+            total += 1
+            return (d[a] > d[b]) - (d[a] < d[b])
+
+        finite._merge_sort(list(range(n - 1)), cmp)
+    return total
+
+
+@pytest.mark.parametrize("case", ["grid-7x7", "random"])
+def test_no_triplet_asked_twice(case, rng):
+    """The tie pass reads the merge's labels: only the sort's comparisons are asked."""
+    if case == "grid-7x7":   # integer grid: many exactly tied distances
+        points = np.array([(a, b) for a in range(7) for b in range(7)], dtype=np.float64)
+    else:
+        points = rng.uniform(-1, 1, (30, 2))
+    truth = SqrtMahalanobis(np.eye(2))
+    oracle = _RecordingOracle(truth)
+    table = learn_finite_distance(points, oracle)
+    assert max(oracle.asked.values()) == 1
+    np.testing.assert_array_equal(table.ranks, brute_force_ranks(points, truth))
+    assert table.query_count == oracle.query_count == _merge_comparisons(points, truth)
+
+
+def test_tie_pass_raises_on_an_uncompared_adjacent_pair(monkeypatch):
+    # a "sort" that compares nothing leaves the tie pass no label to read
+    monkeypatch.setattr(finite, "_merge_sort", lambda items, cmp: list(items))
+    oracle = _euclid_oracle(1)
+    with pytest.raises(RuntimeError, match="never compared"):
+        learn_ranking(np.array([0.0]), np.array([[1.0], [2.0]]), oracle)
+    assert oracle.query_count == 0
 
 
 # ---------------------------------------------------------------------------

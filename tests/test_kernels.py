@@ -82,6 +82,21 @@ def test_assign_centers_fine_cover_memory_is_bounded(rng):
     np.testing.assert_array_equal(d2[sub], ref_d2)
 
 
+def test_assign_centers_block_buffers_stay_small(rng):
+    """120k rows against 361 centers: the peak is the outputs plus two small blocks."""
+    centers = build_cover(Domain.unit_box(2), 0.0375).centers
+    assert centers.shape == (361, 2)
+    X = rng.uniform(0, 1, (120_000, 2))
+    tracemalloc.start()
+    try:
+        assign_centers(X, centers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # idx and d2 take 1.9 MB; each (rows, 361) block buffer is at most 512 KB
+    assert peak < 4 * 2 ** 20
+
+
 def test_assign_centers_cell_boundary_goes_to_lower_index():
     """A point exactly between two grid centers is assigned to the lower index."""
     cover = build_cover(Domain.unit_box(2), 0.4)  # 2 x 2 grid
