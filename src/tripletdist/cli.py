@@ -96,7 +96,7 @@ CONFIG_KEYS = {
     "learn-finite": {"seed", "n", "eq_tol"} | _FIXTURE_KEYS,
     "learn-maha": {"seed", "p", "kappa", "eps", "matrix"},
     "learn-hessian": {"seed", "eps"} | _FIXTURE_KEYS | _PARAMS_KEYS,
-    "learn-additive": {"seed", "omega", "rule", "samples", "eq_tol", "radius", "max_centers"}
+    "learn-additive": {"seed", "omega", "samples", "eq_tol", "radius", "max_centers"}
                       | _FIXTURE_KEYS | _PARAMS_KEYS,
     "learn-mult": {"seed", "omega", "samples", "eq_tol", "max_centers", "override_eps",
                    "override_xi", "override_theta"} | _FIXTURE_KEYS | _PARAMS_KEYS,
@@ -190,7 +190,6 @@ def run_learn_hessian(cfg: dict):
 def run_learn_additive(cfg: dict):
     seed = int(cfg.get("seed", 0))
     omega = float(cfg.get("omega", 0.3))
-    rule = cfg.get("rule", "thm3")
     samples = int(cfg.get("samples", 100_000))
     rng = np.random.default_rng(seed)
     truth, domain = build_fixture(cfg, rng)
@@ -198,14 +197,14 @@ def run_learn_additive(cfg: dict):
     oracle = CountingOracle(truth, equality_tolerance=float(cfg.get("eq_tol", 0.0)))
     radius = cfg.get("radius")
     if radius is None:
-        radius = additive_radius(omega, params, domain.dim, rule)
+        radius = additive_radius(omega, params)
     centers = grid_cover_size(domain, radius)
     budget = query_budget("thm1", n=centers)
     # The rank table costs up to n^2 log n queries; say so before a long run starts.
     print(f"learn-additive: radius {radius:.3g} gives a {centers}-center grid, "
           f"thm1 budget {budget:.3g} queries", file=sys.stderr)
     t0 = time.perf_counter()
-    model = learn_additive(domain, oracle, omega, params=params, rule=rule, radius=radius,
+    model = learn_additive(domain, oracle, omega, params=params, radius=radius,
                            max_centers=int(cfg.get("max_centers", 10 ** 6)))
     wall = time.perf_counter() - t0
     X, Y, Z = sample_triplets(domain, samples, rng)
@@ -213,8 +212,8 @@ def run_learn_additive(cfg: dict):
     X = np.concatenate([X, nX]); Y = np.concatenate([Y, nY]); Z = np.concatenate([Z, nZ])
     report = check_additive(truth, model.answer_batch, omega, X, Y, Z,
                             query_count=model.query_count,
-                            thresholds={"radius": model.radius, "rule": rule})
-    row = {"omega": omega, "rule": rule, "radius": model.radius,
+                            thresholds={"radius": model.radius})
+    row = {"omega": omega, "radius": model.radius,
            "centers": model.cover.size, "samples": X.shape[0], "seed": seed,
            "query_count": model.query_count, "budget": budget,
            "eligible": report.eligible, "violations": report.violations,
@@ -433,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("learn-additive", help="rank surrogate with additive-gap guarantee")
     _add_common(sp)
     sp.add_argument("--omega", type=float, default=None)
-    sp.add_argument("--rule", choices=["thm3", "cor4"], default=None)
     sp.add_argument("--radius", type=float, default=None)
     sp.add_argument("--fixture", default=None)
     sp.add_argument("--p", type=int, default=None)

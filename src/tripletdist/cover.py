@@ -68,10 +68,18 @@ class Domain:
 
 @dataclasses.dataclass
 class EpsCover(JsonArtifact):
-    """Finite set of centers with covering radius <= radius over its domain."""
+    """A grid of centers with covering radius <= radius over its domain.
+
+    ``centers`` must be the C-order product of strictly increasing per-axis
+    coordinates, as ``build_cover`` emits them; any other point set raises
+    ValueError, here and when loading.  ``axes`` holds those coordinates.
+    """
 
     radius: float
     centers: np.ndarray
+
+    def __post_init__(self):
+        self.axes = _kernels.grid_axes(self.centers)
 
     @property
     def size(self) -> int:
@@ -119,8 +127,16 @@ def build_cover(domain: Domain, radius: float, max_centers: int = 10 ** 6) -> Ep
 
 
 def nearest_center_batch(cover: EpsCover, X) -> np.ndarray:
-    """Nearest-center index for each row of X (ties: smallest index)."""
-    idx, _ = _kernels.assign_centers(np.asarray(X, dtype=np.float64), cover.centers)
+    """Nearest-center index for each row of X.
+
+    A binary search into each axis's coordinates, O(n p log k) for n rows and
+    k centers, where a scan of the centers costs O(n k p).  Ties go to the
+    smallest index: of the centers at the same squared distance (summed over
+    the axes in axis order), the lowest-index one wins, so a point midway
+    between two centers goes to the lower.  A row whose squared distance is
+    NaN or infinite (a NaN or infinite coordinate, say) gets index 0.
+    """
+    idx, _ = _kernels.assign_centers(X, cover.centers, cover.axes)
     return idx
 
 
@@ -129,5 +145,5 @@ def covering_radius_check(cover: EpsCover, domain: Domain, n_samples: int = 100_
     """Max distance from uniformly sampled domain points to their nearest center."""
     rng = rng or np.random.default_rng(0)
     X = domain.sample_uniform(rng, n_samples)
-    _, d2 = _kernels.assign_centers(X, cover.centers)
+    _, d2 = _kernels.assign_centers(X, cover.centers, cover.axes)
     return float(np.sqrt(d2.max()))

@@ -344,9 +344,7 @@ def fixture_smoothness(truth: GroundTruth, domain: Domain, *,
     For the sqrt kind the Hessian-related fields (M_third = 1, L_hess = 1 and
     the eigenvalue band, taken from the matrix itself) are formal placeholders,
     not bounds the distance satisfies: it is not twice differentiable where
-    x = y.  The thm3 radius reads only alpha and L_smooth, but
-    ``additive_radius(rule="cor4")`` reads eig_hi and M_third, so a cor4
-    radius for this kind rests on the placeholders.
+    x = y.  The additive radius reads only alpha and L_smooth.
     """
     p = domain.dim
     diam = domain.diameter()

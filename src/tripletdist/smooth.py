@@ -32,23 +32,14 @@ def _one_row(*points) -> list[np.ndarray]:
     return [np.asarray(v, dtype=np.float64)[None] for v in points]
 
 
-def additive_radius(omega: float, params: SmoothnessParams, p: int,
-                    rule: str = "thm3") -> float:
-    """Cover radius for the additive guarantee.
+def additive_radius(omega: float, params: SmoothnessParams) -> float:
+    """Cover radius for the additive guarantee (thm3).
 
-    rule="thm3": min(1, (omega / (4 L))^(1/alpha)) from the Hölder constants.
-    rule="cor4": sqrt(min(1, omega) / (2 gamma + 4 K)) with gamma = eig_hi and
-    K = M_third * p^1.5 / 6, for distances with bounded local Hessians.
+    min(1, (omega / (4 L))^(1/alpha)) from the Hölder constants.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    if rule == "thm3":
-        return min(1.0, (omega / (4.0 * params.L_smooth)) ** (1.0 / params.alpha))
-    if rule == "cor4":
-        gamma = params.eig_hi
-        K = params.taylor_constant(p)
-        return math.sqrt(min(1.0, omega) / (2.0 * gamma + 4.0 * K))
-    raise ValueError(f"unknown radius rule {rule!r}")
+    return min(1.0, (omega / (4.0 * params.L_smooth)) ** (1.0 / params.alpha))
 
 
 @dataclasses.dataclass
@@ -57,7 +48,6 @@ class AdditiveModel(JsonArtifact):
 
     omega: float
     radius: float
-    rule: str
     query_count: int
     cover: EpsCover
     table: RankTable
@@ -80,18 +70,17 @@ class AdditiveModel(JsonArtifact):
 
 
 def learn_additive(domain: Domain, oracle: CountingOracle, omega: float,
-                   params: SmoothnessParams | None = None, rule: str = "thm3",
-                   radius: float | None = None,
+                   params: SmoothnessParams | None = None, radius: float | None = None,
                    max_centers: int = 10 ** 6) -> AdditiveModel:
     """Learn a rank surrogate correct on every triplet with distance gap > omega."""
     if radius is None:
         if params is None:
             raise ValueError("params are required unless an explicit radius is given")
-        radius = additive_radius(omega, params, domain.dim, rule)
+        radius = additive_radius(omega, params)
     cover = build_cover(domain, radius, max_centers=max_centers)
     start = oracle.query_count
     table = learn_finite_distance(cover.centers, oracle)
-    return AdditiveModel(cover=cover, table=table, omega=omega, radius=radius, rule=rule,
+    return AdditiveModel(cover=cover, table=table, omega=omega, radius=radius,
                          query_count=oracle.query_count - start)
 
 

@@ -16,8 +16,8 @@ COLUMNS = {
                    "frobenius_error", "wall_time"],
     "learn-hessian": ["p", "eps", "fixture", "seed", "query_count", "budget",
                       "frobenius_error", "wall_time"],
-    "learn-additive": ["omega", "rule", "radius", "centers", "samples", "seed",
-                       "query_count", "budget", "eligible", "violations", "wall_time"],
+    "learn-additive": ["omega", "radius", "centers", "samples", "seed", "query_count",
+                       "budget", "eligible", "violations", "wall_time"],
     "learn-mult": ["omega", "eps", "xi", "theta", "centers", "scale", "samples", "seed",
                    "query_count", "budget", "eligible", "violations", "wall_time"],
     "audit": ["audit", "fixture", "p", "samples", "seed", "value", "threshold", "ok",

@@ -142,13 +142,34 @@ def test_nearest_center_tie_takes_smallest_index():
 
 
 def test_nearest_center_batch_matches_linear_scan(rng):
-    centers = rng.uniform(0, 1, (37, 3))
+    axes = [np.sort(rng.choice(np.linspace(0, 1, 101), k, replace=False)) for k in (4, 3, 3)]
+    centers = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     cover = EpsCover(centers=centers, radius=0.3)
-    X = rng.uniform(0, 1, (500, 3))
+    X = rng.uniform(-0.2, 1.2, (500, 3))
     got = nearest_center_batch(cover, X)
     expected = np.array([
         int(np.argmin(((centers - x) ** 2).sum(axis=1))) for x in X])
     np.testing.assert_array_equal(got, expected)
+
+
+def _moved_center(centers):
+    centers = centers.copy()
+    centers[4] += [0.01, 0.0]
+    return centers
+
+
+@pytest.mark.parametrize("make_centers", [
+    lambda c, r: c[r.permutation(c.shape[0])],
+    lambda c, r: _moved_center(c),
+    lambda c, r: r.uniform(0, 1, c.shape),
+], ids=["shuffled-grid", "one-center-moved", "random-points"])
+def test_cover_rejects_centers_that_are_not_a_grid(rng, make_centers):
+    centers = make_centers(build_cover(Domain.unit_box(2), 0.3).centers, rng)
+    with pytest.raises(ValueError, match="not a grid"):
+        EpsCover(centers=centers, radius=0.3)
+    doc = json.loads(json.dumps({"radius": 0.3, "centers": centers.tolist()}))
+    with pytest.raises(ValueError, match="not a grid"):
+        EpsCover.from_json_dict(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ COVER_DOC = {"radius": 0.25, "centers": [[0.25], [0.75]]}
 TABLE_DOC = {"points": [[0.25], [0.75]], "ranks": [[0, 1], [1, 0]], "query_count": 2}
 THRESHOLDS_DOC = {"beta_hat": 0.5, "eps": 0.1, "xi": 0.2, "theta": 2.0, "omega": 0.5,
                   "terms": {"curvature": 0.5, "separation": "inf"}}
-ADDITIVE_DOC = {"omega": 0.5, "radius": 0.25, "rule": "thm3", "query_count": 2,
+ADDITIVE_DOC = {"omega": 0.5, "radius": 0.25, "query_count": 2,
                 "cover": COVER_DOC, "table": TABLE_DOC}
 PARAMS_DOC = {"alpha": 1.0, "L_smooth": 2.0, "M_third": 1.0, "eig_lo": 0.5, "eig_hi": 1.0,
               "L_hess": 1.0, "delta_floor": "inf", "kappa0": 320.0}
@@ -42,7 +42,7 @@ FORMATS = [
      {"p": 1, "matrix": [[1.0]], "matrix_pre": [[1.0]], "coefficients": [1.0],
       "query_count": 3, "anchor": 0, "eps": 0.1, "eps_alg": 0.05, "mode": "local-hessian",
       "base_point": [0.5], "rho": 0.01}),
-    (AdditiveModel(cover=COVER, table=TABLE, omega=0.5, radius=0.25, rule="thm3",
+    (AdditiveModel(cover=COVER, table=TABLE, omega=0.5, radius=0.25,
                    query_count=2), ADDITIVE_DOC),
     (SmoothnessParams(alpha=1.0, L_smooth=2.0, M_third=1.0, eig_lo=0.5, eig_hi=1.0,
                       L_hess=1.0), PARAMS_DOC),

@@ -30,13 +30,19 @@ def _reference_assign(X, centers):
     return idx, d2[np.arange(X.shape[0]), idx]
 
 
+def _product_grid(rng, counts, lo=-1.0, hi=1.0):
+    """Centers of a grid whose per-axis coordinates are random, sorted and distinct."""
+    axes = [np.sort(rng.choice(np.linspace(lo, hi, 1000), k, replace=False)) for k in counts]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 def test_assign_centers_matches_reference_numpy(rng):
-    X = rng.uniform(-1, 1, (300, 3))
-    centers = rng.uniform(-1, 1, (17, 3))
+    centers = _product_grid(rng, [3, 2, 4])
+    X = rng.uniform(-1.5, 1.5, (300, 3))
     idx, d2 = assign_centers(X, centers)
     ref_idx, ref_d2 = _reference_assign(X, centers)
     np.testing.assert_array_equal(idx, ref_idx)
-    np.testing.assert_allclose(d2, ref_d2, rtol=1e-12)
+    np.testing.assert_array_equal(d2, ref_d2)
 
 
 def test_assign_centers_tie_takes_first_center():
@@ -48,13 +54,56 @@ def test_assign_centers_tie_takes_first_center():
 
 def test_assign_centers_chunked_path_consistent(rng):
     """Inputs longer than one block agree with the unblocked reference."""
-    centers = rng.uniform(-1, 1, (5, 2))
-    n = 2 * (_kernels._BLOCK_ELEMS // 5) + 123
+    centers = _product_grid(rng, [5, 3])
+    n = 2 * _kernels._BLOCK_ROWS + 123
     X = rng.uniform(-1, 1, (n, 2))
     idx, d2 = assign_centers(X, centers)
     ref_idx, ref_d2 = _reference_assign(X, centers)
     np.testing.assert_array_equal(idx, ref_idx)
-    np.testing.assert_allclose(d2, ref_d2, rtol=1e-12)
+    np.testing.assert_array_equal(d2, ref_d2)
+
+
+def _edge_values(axis, lo, hi):
+    """Centers, midpoints, the floats either side of each midpoint, and points
+    outside the box, near and far."""
+    mid = (axis[:-1] + axis[1:]) / 2
+    side = hi - lo
+    far = [lo - 0.2 * side, hi + 0.2 * side, -1e3, 1e3, -1e8, 1e8]
+    return np.concatenate([axis, mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf),
+                           far])
+
+
+@pytest.mark.parametrize("lower, upper, radius, counts", [
+    ([0.0], [1.0], 0.07, [8]),
+    ([-1.0], [2.0], 5.0, [1]),
+    ([0.0, 0.0], [1.0, 1.0], 0.0375, [19, 19]),
+    ([0.0, 0.0], [4.0, 0.3], 0.5, [6, 1]),
+    ([-1.0, 0.0, 0.5], [2.0, 0.1, 2.0], 0.45, [6, 1, 3]),
+], ids=["p1", "p1-one-center", "p2-benchmark-grid", "p2-one-center-axis", "p3-uneven"])
+def test_assign_centers_exact_on_grid_edge_cases(rng, lower, upper, radius, counts):
+    """Bit-identical idx and d2 to the scan, ties included: a point midway between
+    centers, a float away from midway, on a center, or far out of the box, where
+    rounding absorbs the other axes' terms and every center on them ties."""
+    dom = Domain.box(lower, upper)
+    centers = build_cover(dom, radius).centers
+    axes = [np.unique(centers[:, a]) for a in range(dom.dim)]
+    assert [a.size for a in axes] == counts
+    values = [_edge_values(ax, lo, hi) for ax, (lo, hi) in zip(axes, dom.bounds)]
+    X = np.column_stack([rng.choice(v, 4000) for v in values])
+    idx, d2 = assign_centers(X, centers)
+    ref_idx, ref_d2 = _reference_assign(X, centers)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(d2, ref_d2)
+
+
+def test_assign_centers_non_finite_rows_get_index_zero():
+    centers = build_cover(Domain.unit_box(2), 0.3).centers
+    X = np.array([[np.nan, 0.5], [0.9, np.inf], [-np.inf, -np.inf], [0.9, 0.9]])
+    idx, d2 = assign_centers(X, centers)
+    ref_idx, ref_d2 = _reference_assign(X, centers)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(idx[:3], [0, 0, 0])
+    np.testing.assert_array_equal(d2, ref_d2)
 
 
 def test_assign_centers_shape_validation():
@@ -62,6 +111,8 @@ def test_assign_centers_shape_validation():
         assign_centers(np.zeros((3, 2)), np.zeros((4, 3)))
     with pytest.raises(ValueError):
         assign_centers(np.zeros(3), np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="not a grid"):
+        assign_centers(np.zeros((3, 2)), np.array([[0.0, 0.0], [1.0, 1.0]]))
 
 
 def test_assign_centers_fine_cover_memory_is_bounded(rng):

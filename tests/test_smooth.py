@@ -50,30 +50,21 @@ def _params(**over) -> SmoothnessParams:
 
 
 def test_thm3_radius_linear_case():
-    assert additive_radius(0.2, _params(), 1) == pytest.approx(0.05)  # 0.2 / (4*1)
+    assert additive_radius(0.2, _params()) == pytest.approx(0.05)  # 0.2 / (4*1)
 
 
 def test_thm3_radius_caps_at_one():
-    assert additive_radius(100.0, _params(), 1) == 1.0
+    assert additive_radius(100.0, _params()) == 1.0
 
 
 def test_thm3_radius_holder_exponent():
     params = _params(alpha=0.5, L_smooth=1.0)
-    assert additive_radius(0.2, params, 1) == pytest.approx(0.05 ** 2)
-
-
-def test_cor4_radius_formula():
-    params = _params(eig_hi=0.6, M_third=0.3)
-    K = 0.3 * 2 ** 1.5 / 6.0
-    expected = math.sqrt(min(1.0, 0.5) / (2.0 * 0.6 + 4.0 * K))
-    assert additive_radius(0.5, params, 2, rule="cor4") == pytest.approx(expected)
+    assert additive_radius(0.2, params) == pytest.approx(0.05 ** 2)
 
 
 def test_radius_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        additive_radius(0.0, _params(), 1)
-    with pytest.raises(ValueError, match="rule"):
-        additive_radius(0.5, _params(), 1, rule="thm99")
+        additive_radius(0.0, _params())
 
 
 # ---------------------------------------------------------------------------
@@ -109,22 +100,6 @@ def test_additive_huge_omega_single_center_vacuous(rng):
     assert report.eligible == 0 and report.violations == 0
 
 
-def test_additive_cor4_varying_hessian_no_violations(rng):
-    """Quadratic fixture with distance range ~1.2: cor4 radius, omega = 0.5."""
-    truth = VaryingHessianQuadratic(np.diag([1.1, 0.9]), amplitude=0.1)
-    dom = Domain.unit_box(2)
-    params = fixture_smoothness(truth, dom, m_third_floor=1.0, l_hess_floor=1.0)
-    oracle = CountingOracle(truth)
-    model = learn_additive(dom, oracle, omega=0.5, params=params, rule="cor4")
-    assert model.cover.size == 9
-    X, Y, Z = sample_triplets(dom, 100_000, rng)
-    nX, nY, nZ = near_pair_triplets(dom, [model.radius, 0.5], 10_000, rng)
-    X = np.concatenate([X, nX]); Y = np.concatenate([Y, nY]); Z = np.concatenate([Z, nZ])
-    report = check_additive(truth, model.answer_batch, 0.5, X, Y, Z)
-    assert report.eligible > 0
-    assert report.violations == 0
-
-
 def test_additive_explicit_radius_and_missing_params():
     truth = SqrtMahalanobis(np.eye(1))
     dom = Domain.unit_box(1)
@@ -140,7 +115,7 @@ def test_additive_eval_two_center_example():
     centers = np.array([[0.0], [1.0]])
     table = learn_finite_distance(centers, CountingOracle(truth))
     model = AdditiveModel(cover=EpsCover(centers=centers, radius=0.5), table=table,
-                          omega=0.2, radius=0.5, rule="thm3", query_count=0)
+                          omega=0.2, radius=0.5, query_count=0)
     assert model.eval([0.1], [0.9]) == 1.0
     assert model.eval([0.1], [0.4]) == 0.0  # same nearest center
     assert model.answer([0.1], [0.4], [0.9]) == -1
