@@ -72,14 +72,17 @@ class EpsCover(JsonArtifact):
 
     ``centers`` must be the C-order product of strictly increasing per-axis
     coordinates, as ``build_cover`` emits them; any other point set raises
-    ValueError, here and when loading.  ``axes`` holds those coordinates.
+    ValueError, here and when loading.  ``grid`` holds those coordinates and
+    the breakpoints between them, which the nearest-center lookup searches.
+    It is derived from ``centers`` whenever a cover is built or loaded and is
+    never stored, so the stored format is ``radius`` and ``centers`` alone.
     """
 
     radius: float
     centers: np.ndarray
 
     def __post_init__(self):
-        self.axes = _kernels.grid_axes(self.centers)
+        self.grid = _kernels.grid_of(self.centers)
 
     @property
     def size(self) -> int:
@@ -126,18 +129,35 @@ def build_cover(domain: Domain, radius: float, max_centers: int = 10 ** 6) -> Ep
     return EpsCover(centers=centers, radius=float(radius))
 
 
-def nearest_center_batch(cover: EpsCover, X) -> np.ndarray:
-    """Nearest-center index for each row of X.
+def nearest_center_batch(cover: EpsCover, X, *more):
+    """Nearest-center index for each row of X, and of each further array in ``more``.
 
-    A binary search into each axis's coordinates, O(n p log k) for n rows and
-    k centers, where a scan of the centers costs O(n k p).  Ties go to the
-    smallest index: of the centers at the same squared distance (summed over
-    the axes in axis order), the lowest-index one wins, so a point midway
-    between two centers goes to the lower.  A row whose squared distance is
-    NaN or infinite (a NaN or infinite coordinate, say) gets index 0.
+    Each axis is one binary search into the breakpoints the cover derived
+    from its coordinates, O(n p log k) for n rows and k centers, where a scan
+    of the centers costs O(n k p); a tie pass then keeps the scan's answer.
+    Ties go to the smallest index: of the centers at the same squared
+    distance (summed over the axes in axis order), the lowest-index one wins,
+    so a point midway between two centers goes to the lower.  A row whose
+    squared distance is NaN or infinite (a NaN or infinite coordinate, say)
+    gets index 0.
+
+    Several arrays, all with the same number of rows, are looked up together:
+    one ``assign_centers`` call per block of rows takes that block of every
+    array, so the per-call cost is paid once per block, not once per array.
+    Returns one index array for one input array, else a tuple of them.
     """
-    idx, _ = _kernels.assign_centers(X, cover.centers, cover.axes)
-    return idx
+    arrays = [np.asarray(A, dtype=np.float64) for A in (X, *more)]
+    if any(A.ndim != 2 or A.shape[0] != arrays[0].shape[0] for A in arrays):
+        raise ValueError("point arrays must be 2-D with the same number of rows")
+    m, n = len(arrays), arrays[0].shape[0]
+    out = np.empty((m, n), dtype=np.int64)
+    step = max(1, _kernels._BLOCK_ROWS // m)
+    for s in range(0, n, step):
+        block = slice(s, s + step)
+        idx, _ = _kernels.assign_centers(np.concatenate([A[block] for A in arrays]),
+                                         cover.centers, cover.grid)
+        out[:, block] = idx.reshape(m, -1)
+    return out[0] if m == 1 else tuple(out)
 
 
 def covering_radius_check(cover: EpsCover, domain: Domain, n_samples: int = 100_000,
@@ -145,5 +165,5 @@ def covering_radius_check(cover: EpsCover, domain: Domain, n_samples: int = 100_
     """Max distance from uniformly sampled domain points to their nearest center."""
     rng = rng or np.random.default_rng(0)
     X = domain.sample_uniform(rng, n_samples)
-    _, d2 = _kernels.assign_centers(X, cover.centers, cover.axes)
+    _, d2 = _kernels.assign_centers(X, cover.centers, cover.grid)
     return float(np.sqrt(d2.max()))

@@ -54,19 +54,18 @@ class AdditiveModel(JsonArtifact):
 
     def eval(self, x, y) -> float:
         """Surrogate distance: the rank of c(y) around c(x)."""
-        cx, cy = nearest_center_batch(self.cover, np.asarray([x, y], dtype=np.float64))
-        return float(self.table.ranks[cx, cy])
+        cx, cy = nearest_center_batch(self.cover, *_one_row(x, y))
+        return float(self.table.ranks[cx[0], cy[0]])
 
     def answer(self, x, y, z) -> int:
         """``answer_batch`` on one triplet."""
         return int(self.answer_batch(*_one_row(x, y, z))[0])
 
     def answer_batch(self, X, Y, Z) -> np.ndarray:
-        ix = nearest_center_batch(self.cover, X)
-        iy = nearest_center_batch(self.cover, Y)
-        iz = nearest_center_batch(self.cover, Z)
-        diff = self.table.ranks[ix, iy] - self.table.ranks[ix, iz]
-        return np.sign(diff).astype(np.int64)
+        ix, iy, iz = nearest_center_batch(self.cover, X, Y, Z)
+        diff = self.table.ranks[ix, iy]
+        diff -= self.table.ranks[ix, iz]
+        return np.sign(diff, out=diff).astype(np.int64, copy=False)
 
 
 def learn_additive(domain: Domain, oracle: CountingOracle, omega: float,
@@ -146,44 +145,50 @@ class HybridDistance(JsonArtifact):
 
     def eval(self, x, y) -> float:
         X, Y = _one_row(x, y)
-        ix = nearest_center_batch(self.cover, X)
+        ix, iy = nearest_center_batch(self.cover, X, Y)
         form = float(_kernels.quad_forms_by_index(Y - X, self.hessians, ix)[0])
         if form <= self.theta:
             return form
-        iy = nearest_center_batch(self.cover, Y)
         return float(self.table.ranks[ix[0], iy[0]]) + self.theta
 
     def answer(self, x, y, z) -> int:
-        """``answer_batch`` on one triplet."""
-        return int(self.answer_batch(*_one_row(x, y, z))[0])
-
-    def _branches(self, X, Y, Z):
-        """(ix, lxy, lxz, y_glob, z_glob): the center of each x, the local forms of
-        (x, y) and (x, z), and which pairs go to the ranks (form > theta)."""
-        X = np.asarray(X, dtype=np.float64)
-        ix = nearest_center_batch(self.cover, X)
-        lxy = _kernels.quad_forms_by_index(np.asarray(Y, np.float64) - X, self.hessians, ix)
-        lxz = _kernels.quad_forms_by_index(np.asarray(Z, np.float64) - X, self.hessians, ix)
-        return ix, lxy, lxz, lxy > self.theta, lxz > self.theta
+        """``answer_batch`` on one triplet, its three points looked up in one call."""
+        X, Y, Z = _one_row(x, y, z)
+        return int(self._rule(X, Y, Z, *nearest_center_batch(self.cover, X, Y, Z))[0])
 
     def answer_batch(self, X, Y, Z) -> np.ndarray:
-        ix, lxy, lxz, y_glob, z_glob = self._branches(X, Y, Z)
-        out = np.empty(ix.shape[0], dtype=np.int64)
-        both_g = y_glob & z_glob
-        if both_g.any():
-            iy = nearest_center_batch(self.cover, np.asarray(Y, np.float64)[both_g])
-            iz = nearest_center_batch(self.cover, np.asarray(Z, np.float64)[both_g])
-            diff = self.table.ranks[ix[both_g], iy] - self.table.ranks[ix[both_g], iz]
-            out[both_g] = np.sign(diff)
-        both_l = ~y_glob & ~z_glob
-        out[both_l] = np.sign(lxy[both_l] - lxz[both_l]).astype(np.int64)
+        X, Y, Z = (np.asarray(A, dtype=np.float64) for A in (X, Y, Z))
+        return self._rule(X, Y, Z, nearest_center_batch(self.cover, X))
+
+    def _branches(self, X, Y, Z, ix):
+        """(local, y_glob, z_glob): the local answers sign(l(x,y) - l(x,z)) from the
+        forms at the centers ``ix`` of the x's, and which pairs go to the ranks
+        (form > theta)."""
+        lxy = _kernels.quad_forms_by_index(Y - X, self.hessians, ix)
+        lxz = _kernels.quad_forms_by_index(Z - X, self.hessians, ix)
+        local = lxy - lxz
+        return np.sign(local, out=local).astype(np.int64), lxy > self.theta, lxz > self.theta
+
+    def _rule(self, X, Y, Z, ix, iy=None, iz=None):
+        """The answering rule.  Only both-global rows read the centers of y and z;
+        those rows are looked up here unless ``iy`` and ``iz`` give every row's."""
+        out, y_glob, z_glob = self._branches(X, Y, Z, ix)
         out[y_glob & ~z_glob] = 1
         out[~y_glob & z_glob] = -1
+        both_g = y_glob & z_glob
+        if both_g.any():
+            if iy is None:
+                iy, iz = nearest_center_batch(self.cover, Y[both_g], Z[both_g])
+            else:
+                iy, iz = iy[both_g], iz[both_g]
+            diff = self.table.ranks[ix[both_g], iy] - self.table.ranks[ix[both_g], iz]
+            out[both_g] = np.sign(diff)
         return out
 
     def case_counts(self, X, Y, Z) -> dict:
         """How many triplets fall in each branch of the answering rule."""
-        _, _, _, yg, zg = self._branches(X, Y, Z)
+        X, Y, Z = (np.asarray(A, dtype=np.float64) for A in (X, Y, Z))
+        _, yg, zg = self._branches(X, Y, Z, nearest_center_batch(self.cover, X))
         return {
             "both_global": int((yg & zg).sum()),
             "both_local": int((~yg & ~zg).sum()),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripletdist import CoverSizeError, Domain, EpsCover, build_cover
+from tripletdist import CoverSizeError, Domain, EpsCover, _kernels, build_cover
 from tripletdist.cover import (
     covering_radius_check,
     grid_cover_counts,
@@ -150,6 +150,25 @@ def test_nearest_center_batch_matches_linear_scan(rng):
     expected = np.array([
         int(np.argmin(((centers - x) ** 2).sum(axis=1))) for x in X])
     np.testing.assert_array_equal(got, expected)
+
+
+def test_nearest_center_batch_several_arrays_equal_separate_calls(rng):
+    """Arrays looked up together, across several blocks, get the indices that
+    separate calls give them."""
+    cover = build_cover(Domain.box([-1.0, 0.0], [2.0, 0.5]), 0.11)
+    n = _kernels._BLOCK_ROWS + 517
+    arrays = [rng.uniform(-1.5, 2.5, (n, 2)) for _ in range(3)]
+    arrays[1][::97] = np.nan
+    together = nearest_center_batch(cover, *arrays)
+    assert isinstance(together, tuple) and len(together) == 3
+    for got, A in zip(together, arrays):
+        np.testing.assert_array_equal(got, nearest_center_batch(cover, A))
+    x, y = nearest_center_batch(cover, arrays[0][:1], arrays[2][:1])
+    np.testing.assert_array_equal([x[0], y[0]], [together[0][0], together[2][0]])
+    empty = nearest_center_batch(cover, np.empty((0, 2)), np.empty((0, 2)))
+    assert [e.shape for e in empty] == [(0,), (0,)]
+    with pytest.raises(ValueError, match="same number of rows"):
+        nearest_center_batch(cover, arrays[0], arrays[1][:-1])
 
 
 def _moved_center(centers):

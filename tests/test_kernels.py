@@ -10,6 +10,8 @@ from tripletdist._kernels import (
     HAS_NUMBA,
     active_backend,
     assign_centers,
+    axis_breakpoints,
+    grid_of,
     quad_forms_by_index,
 )
 from tripletdist.cover import Domain, build_cover
@@ -96,6 +98,65 @@ def test_assign_centers_exact_on_grid_edge_cases(rng, lower, upper, radius, coun
     np.testing.assert_array_equal(d2, ref_d2)
 
 
+def _breakpoint_edge_values(axis, breaks):
+    """``_edge_values`` plus each breakpoint and the floats either side of it,
+    points far outside any grid, and non-finite values."""
+    return np.concatenate([
+        _edge_values(axis, axis[0], axis[-1]),
+        breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf),
+        [-1e300, 1e300, 0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf]])
+
+
+GRID_CASES = [
+    ([7, 3], 0.0, 1.0),
+    ([1, 9], -1.0, 1.0),
+    ([5, 1, 4], -3.0, 0.5),
+    ([2, 2, 2, 3], -1.0, 1.0),
+    ([11], -1e150, 1e150),
+    ([6, 4], 1e12, 1e12 + 3.0),
+    ([6, 5], -1e-150, 1e-150),
+    ([8, 3], -1e-300, 1e-300),
+]
+GRID_IDS = ["uneven", "one-center-axis", "p3-spans-0", "p4", "huge", "huge-offset",
+            "tiny", "subnormal-spacing"]
+
+
+@pytest.mark.parametrize("counts, lo, hi", GRID_CASES, ids=GRID_IDS)
+def test_assign_centers_exact_at_breakpoints(rng, counts, lo, hi):
+    """Bit-identical idx and d2 to the scan on random grids, at every midpoint and
+    breakpoint and the floats either side of them, on the centers, far outside
+    the grid, and for NaN and infinite coordinates."""
+    centers = _product_grid(rng, counts, lo, hi)
+    grid = grid_of(centers)
+    values = [_breakpoint_edge_values(c, bp) for c, bp in zip(grid.axes, grid.breaks)]
+    X = np.column_stack([rng.choice(v, 5000) for v in values])
+    with np.errstate(over="ignore", invalid="ignore"):
+        idx, d2 = assign_centers(X, centers, grid)
+        ref_idx, ref_d2 = _reference_assign(X, centers)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(d2, ref_d2)
+
+
+@pytest.mark.parametrize("counts, lo, hi", GRID_CASES, ids=GRID_IDS)
+def test_breakpoint_is_where_the_upper_coordinate_starts_to_win(rng, counts, lo, hi):
+    """At each breakpoint the upper neighbour is strictly nearer, and one float
+    below it is not.  Where the squared spacing underflows to 0 the upper one
+    never wins, and the breakpoint is the float after it."""
+    for c in grid_of(_product_grid(rng, counts, lo, hi)).axes:
+        bp = axis_breakpoints(c)
+        below, above = c[:-1], c[1:]
+        assert bp.shape == below.shape and np.all(np.diff(bp) >= 0)
+        with np.errstate(over="ignore"):
+            wins = (bp - above) ** 2 < (bp - below) ** 2
+            before = np.nextafter(bp, -np.inf)
+            assert not np.any((before - above) ** 2 < (before - below) ** 2)
+        past = bp > above
+        np.testing.assert_array_equal(bp[past], np.nextafter(above[past], np.inf))
+        assert np.all((above[past] - below[past]) ** 2 == 0)
+        assert np.all(wins | past)
+        assert np.all(below < bp)
+
+
 def test_assign_centers_non_finite_rows_get_index_zero():
     centers = build_cover(Domain.unit_box(2), 0.3).centers
     X = np.array([[np.nan, 0.5], [0.9, np.inf], [-np.inf, -np.inf], [0.9, 0.9]])
@@ -144,7 +205,8 @@ def test_assign_centers_block_buffers_stay_small(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # idx and d2 take 1.9 MB; each (rows, 361) block buffer is at most 512 KB
+    # idx and d2 take 1.9 MB; the rest is one block's per-row temporaries, 64 KB
+    # each, and the grid's axes and breakpoints
     assert peak < 4 * 2 ** 20
 
 
@@ -164,6 +226,28 @@ def test_assign_centers_cell_boundary_goes_to_lower_index():
 
 def _reference_quad(V, H_stack, idx):
     return np.array([V[i] @ H_stack[idx[i]] @ V[i] for i in range(V.shape[0])])
+
+
+def _reference_quad_gathers(V, H_stack, idx):
+    """One whole-batch gather per (a, b) entry, accumulated in (a, b) order."""
+    out = np.zeros(V.shape[0])
+    for a in range(V.shape[1]):
+        for b in range(V.shape[1]):
+            out += H_stack[:, a, b][idx] * V[:, a] * V[:, b]
+    return out
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_quad_forms_equal_per_entry_gathers_bitwise(rng, p):
+    """Gathering each row's entries once, block by block, adds the same terms in
+    the same order as one gather per entry over the whole batch."""
+    n = 2 * _kernels._BLOCK_ROWS + 77
+    V = rng.standard_normal((n, p)) * rng.choice([1e-3, 1.0, 1e3], (n, 1))
+    H = rng.standard_normal((50, p, p))
+    H = H + H.transpose(0, 2, 1)
+    idx = rng.integers(0, 50, n)
+    np.testing.assert_array_equal(quad_forms_by_index(V, H, idx),
+                                  _reference_quad_gathers(V, H, idx))
 
 
 def test_quad_forms_matches_reference_numpy(rng):

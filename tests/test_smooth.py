@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from tripletdist import (
     EpsCover,
     HybridDistance,
     MultiplicativeThresholds,
+    RankTable,
     SmoothnessParams,
     SqrtMahalanobis,
     SquaredMahalanobis,
     VaryingHessianQuadratic,
     additive_radius,
+    build_cover,
     check_additive,
     check_multiplicative,
     learn_additive,
@@ -157,6 +160,27 @@ def test_additive_json_round_trip(rng):
     X, Y, Z = sample_triplets(dom, 100, rng)
     np.testing.assert_array_equal(back.answer_batch(X, Y, Z),
                                   model.answer_batch(X, Y, Z))
+
+
+def test_additive_answer_batch_memory_stays_bounded(rng):
+    """120k triplets on the 361-center benchmark grid peak under 5.5 MiB: the
+    three index arrays and the rank difference, with the lookup's temporaries
+    bounded by its block size."""
+    dom = Domain.unit_box(2)
+    cover = build_cover(dom, 0.0375)
+    assert cover.size == 361
+    ranks = rng.integers(1, 361, (361, 361))
+    np.fill_diagonal(ranks, 0)
+    model = AdditiveModel(omega=0.3, radius=0.0375, query_count=0, cover=cover,
+                          table=RankTable(points=cover.centers, ranks=ranks))
+    X, Y, Z = sample_triplets(dom, 120_000, rng)
+    tracemalloc.start()
+    try:
+        model.answer_batch(X, Y, Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
