@@ -1,14 +1,14 @@
 """Batch kernels: nearest grid center and per-row quadratic forms.
 
-``assign_centers`` looks the nearest center of a grid up axis by axis. Each
-axis of a grid carries breakpoints, derived once from its coordinates
-(``grid_of``): the first double at which a coordinate is strictly nearer, in
-rounded squared difference, than the coordinate below it. One binary search
-into the breakpoints then gives the axis's nearest coordinate, and C-order
-index arithmetic combines the axes, O(n p log k) for n rows and k centers. It
-returns what a scan of all k centers returns, bit for bit. The squared distance
-is summed over the axes in axis order, and of the centers that reach the same
-sum the one with the lowest index wins. ``quad_forms_by_index`` accumulates per
+``assign_centers`` looks the nearest center of a grid up axis by axis: the
+nearest point of a product grid is the product of each axis's nearest
+coordinate (Conway & Sloane, "Fast quantizing and decoding algorithms for
+lattice quantizers and codes", IEEE Trans. IT 1982). Each axis of a grid
+carries the midpoints between neighbouring coordinates, derived once from them
+(``grid_of``). One binary search into the midpoints gives the axis's nearest
+coordinate, the lower one at an exact midpoint, and C-order index arithmetic
+combines the axes, O(n p log k) for n rows and k centers. The squared distance
+is summed over the axes in axis order. ``quad_forms_by_index`` accumulates per
 (a, b) entry in a fixed order. So each row's result is the same whatever the
 batch size or block split, and both kernels work in blocks of ``_BLOCK_ROWS``
 rows, so their temporaries stay bounded for any number of rows.
@@ -30,9 +30,6 @@ HAS_NUMBA = False
 # bounded for any number of rows.
 _BLOCK_ROWS = 2 ** 13
 
-_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
-_SIGN = np.int64(-2 ** 63)
-
 
 def active_backend() -> str:
     """Name of the kernel backend, recorded with benchmark results."""
@@ -40,18 +37,19 @@ def active_backend() -> str:
 
 
 class Grid(NamedTuple):
-    """A grid's sorted per-axis coordinates and per-axis breakpoints.
+    """A grid's sorted per-axis coordinates and the midpoints between them.
 
-    ``breaks[a][i]`` is the first double x at which ``axes[a][i + 1]`` is
-    strictly nearer to x than ``axes[a][i]`` (see ``axis_breakpoints``).
+    ``mids[a][i]`` is the largest double at most (axes[a][i] + axes[a][i + 1]) / 2,
+    so a coordinate x is nearer to ``axes[a][i]`` than to ``axes[a][i + 1]``, or
+    as near, exactly when x <= mids[a][i].
     """
 
     axes: tuple[np.ndarray, ...]
-    breaks: tuple[np.ndarray, ...]
+    mids: tuple[np.ndarray, ...]
 
 
 def grid_of(centers) -> Grid:
-    """The per-axis coordinates and breakpoints of a grid of centers.
+    """The per-axis coordinates and midpoints of a grid of centers.
 
     ``centers`` must be the C-order product of strictly increasing per-axis
     coordinates, the layout ``cover.build_cover`` emits; anything else raises
@@ -66,59 +64,32 @@ def grid_of(centers) -> Grid:
             np.array_equal(m.ravel(), centers[:, a]) for a, m in enumerate(mesh)):
         raise ValueError("centers are not a grid: they must be the C-order product of "
                          "strictly increasing per-axis coordinates")
-    return Grid(axes, tuple(axis_breakpoints(c) for c in axes))
+    return Grid(axes, tuple(_midpoints(c) for c in axes))
 
 
-def _order_key(x):
-    """Each double's position among the ordered doubles, as an int64."""
-    bits = np.asarray(x, dtype=np.float64).view(np.int64)
-    return np.where(bits < 0, -(bits & _MAGNITUDE), bits)
+def _midpoints(c):
+    """The largest double at most (c[i] + c[i+1]) / 2, for each pair of neighbours.
 
-
-def _from_order_key(key):
-    return np.where(key < 0, -key | _SIGN, key).view(np.float64)
-
-
-def axis_breakpoints(c) -> np.ndarray:
-    """For each pair of neighbours c[i] < c[i+1], the first double x at which
-    fl((x - c[i+1])**2) < fl((x - c[i])**2).
-
-    On [c[i], c[i+1]] the upper term falls and the lower one rises with x, and
-    rounding keeps both monotone, so the test flips once and a bisection over
-    the ordered doubles finds the flip.  If the test never holds there (the
-    squared spacing underflows to 0), the breakpoint is the double after
-    c[i+1], where the next pair takes over.  Every x in [bp[i], bp[i+1]) then
-    has c[i+1] as its per-axis choice, the lower index on a tie.
+    The halves are exact above the subnormal range, and the error term of their
+    rounded sum is exact (Knuth's TwoSum). Where the sum rounded up past the
+    exact midpoint, the double below it is taken, so a point strictly nearer
+    the upper neighbour never goes to the lower one.
     """
-    c = np.asarray(c, dtype=np.float64)
-    below, above = c[:-1], c[1:]
-    lo = _order_key(below)                          # the test fails at c[i]
-    hi = _order_key(np.nextafter(above, np.inf))    # counted as passing
-    # The flip is usually within a few doubles of the midpoint: probing either
-    # side of it first leaves a short bracket.
-    guess = _order_key(below / 2 + above / 2)
-    for probe in (guess - 64, guess + 64):
-        lo, hi = _bisect_step(np.clip(probe, lo, hi - 1), lo, hi, below, above)
-    while np.any(lo + 1 < hi):
-        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # floor((lo + hi) / 2), no overflow
-        lo, hi = _bisect_step(mid, lo, hi, below, above)
-    return _from_order_key(hi)
-
-
-def _bisect_step(key, lo, hi, below, above):
-    """Narrow each bracket [lo, hi) of ``axis_breakpoints`` at ``key``."""
-    x = _from_order_key(key)
-    with np.errstate(over="ignore"):                # huge coordinates square to inf
-        wins = _square_diff(x, above) < _square_diff(x, below)
-    return np.where(wins, lo, key), np.where(wins, key, hi)
+    a, b = c[:-1] / 2, c[1:] / 2
+    s = a + b
+    t = s - a
+    err = (a - (s - t)) + (b - t)
+    return np.where(err < 0, np.nextafter(s, -np.inf), s)
 
 
 def assign_centers(X, centers, grid=None):
     """Index of the nearest center for each row of X, plus squared distances.
 
     ``centers`` must be a grid (see ``grid_of``); ``grid`` is its ``Grid``,
-    derived from ``centers`` when not given. Ties go to the smallest center
-    index, and a row whose squared distance is NaN or infinite gets index 0.
+    derived from ``centers`` when not given. Each axis takes a nearest
+    coordinate, the lower one when two are exactly as near, so a point midway
+    between two centers goes to the lower index. A row whose squared distance
+    is NaN or infinite gets index 0.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or np.ndim(centers) != 2 or X.shape[1] != np.shape(centers)[1]:
@@ -136,59 +107,17 @@ def assign_centers(X, centers, grid=None):
     return idx, d2
 
 
-def _square_diff(x, c):
-    d = x - c
-    d *= d
-    return d
-
-
-def _in_order_sum(terms):
-    acc = terms[0].copy()
-    for t in terms[1:]:
-        acc += t
-    return acc
-
-
 def _lookup(B, grid):
     """``assign_centers`` on one block of rows."""
-    axes = grid.axes
-    J = [np.searchsorted(bp, B[:, a], side="right") for a, bp in enumerate(grid.breaks)]
-    T = [_square_diff(B[:, a], c[j]) for a, (c, j) in enumerate(zip(axes, J))]
-    d2 = _in_order_sum(T)
-    # Rounding can absorb a larger term into the sum, so a center below the
-    # per-axis choice may reach the same d2; a scan would pick that one.
-    finite = np.isfinite(d2)
-    ties = np.zeros(B.shape[0], dtype=bool)
-    for a, c in enumerate(axes):
-        below = _square_diff(B[:, a], c[J[a] - 1])     # J = 0 wraps; masked below
-        ties |= (_in_order_sum(T[:a] + [below] + T[a + 1:]) == d2) & (J[a] > 0)
-    ties &= finite
-    if ties.any():
-        _lowest_ties(B, axes, J, T, d2, np.flatnonzero(ties))
-    idx = J[0]
-    for j, c in zip(J[1:], axes[1:]):
+    idx = np.zeros(B.shape[0], dtype=np.int64)
+    d2 = np.zeros(B.shape[0], dtype=np.float64)
+    for x, c, mids in zip(B.T, grid.axes, grid.mids):
+        j = np.searchsorted(mids, x, side="left")
+        t = x - c[j]
+        d2 += t * t
         idx = idx * c.size + j
-    idx[~finite] = 0
+    idx[~np.isfinite(d2)] = 0
     return idx, d2
-
-
-def _lowest_ties(B, axes, J, T, d2, rows):
-    """Move ``rows`` to the lowest-index center whose in-order sum equals d2.
-
-    Per-axis terms grow away from the chosen index, and rounding is monotone,
-    so the centers that keep the sum are a run below it on each axis.  Walking
-    axis 0 down first, then axis 1, and so on, finds the lowest C-order index.
-    """
-    for a, c in enumerate(axes):
-        r = rows[J[a][rows] > 0]
-        while r.size:
-            j = J[a][r] - 1
-            t = _square_diff(B[r, a], c[j])
-            keep = _in_order_sum([t if b == a else T[b][r] for b in range(len(T))]) == d2[r]
-            r = r[keep]
-            J[a][r] = j[keep]
-            T[a][r] = t[keep]
-            r = r[J[a][r] > 0]
 
 
 def quad_forms_by_index(V, H_stack, idx):

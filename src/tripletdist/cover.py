@@ -73,7 +73,7 @@ class EpsCover(JsonArtifact):
     ``centers`` must be the C-order product of strictly increasing per-axis
     coordinates, as ``build_cover`` emits them; any other point set raises
     ValueError, here and when loading.  ``grid`` holds those coordinates and
-    the breakpoints between them, which the nearest-center lookup searches.
+    the midpoints between them, which the nearest-center lookup searches.
     It is derived from ``centers`` whenever a cover is built or loaded and is
     never stored, so the stored format is ``radius`` and ``centers`` alone.
     """
@@ -132,14 +132,12 @@ def build_cover(domain: Domain, radius: float, max_centers: int = 10 ** 6) -> Ep
 def nearest_center_batch(cover: EpsCover, X, *more):
     """Nearest-center index for each row of X, and of each further array in ``more``.
 
-    Each axis is one binary search into the breakpoints the cover derived
-    from its coordinates, O(n p log k) for n rows and k centers, where a scan
-    of the centers costs O(n k p); a tie pass then keeps the scan's answer.
-    Ties go to the smallest index: of the centers at the same squared
-    distance (summed over the axes in axis order), the lowest-index one wins,
-    so a point midway between two centers goes to the lower.  A row whose
-    squared distance is NaN or infinite (a NaN or infinite coordinate, say)
-    gets index 0.
+    Each axis is one binary search into the midpoints between the cover's
+    coordinates, O(n p log k) for n rows and k centers, where a scan of the
+    centers costs O(n k p).  Each axis takes a nearest coordinate, the lower
+    one at an exact midpoint, so a point midway between two centers goes to
+    the lower index.  A row whose squared distance is NaN or infinite (a NaN
+    or infinite coordinate, say) gets index 0.
 
     Several arrays, all with the same number of rows, are looked up together:
     one ``assign_centers`` call per block of rows takes that block of every

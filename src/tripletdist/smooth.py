@@ -27,9 +27,19 @@ from .finite import RankTable, learn_finite_distance
 from .maha import learn_local_hessian
 
 
+def _finite_rows(*batches) -> list[np.ndarray]:
+    """Each batch of points as a float64 array.  Raises ValueError naming how many
+    rows have a NaN or infinite coordinate: no center answers for those."""
+    batches = [np.asarray(A, dtype=np.float64) for A in batches]
+    if not all(np.isfinite(A).all() for A in batches):
+        bad = np.logical_or.reduce([~np.isfinite(A).all(axis=-1) for A in batches])
+        raise ValueError(f"non-finite coordinate in {np.count_nonzero(bad)} of {bad.size} rows")
+    return batches
+
+
 def _one_row(*points) -> list[np.ndarray]:
-    """Each point as a one-row batch."""
-    return [np.asarray(v, dtype=np.float64)[None] for v in points]
+    """Each point as a one-row batch, checked by ``_finite_rows``."""
+    return _finite_rows(*(np.asarray(v, dtype=np.float64)[None] for v in points))
 
 
 def additive_radius(omega: float, params: SmoothnessParams) -> float:
@@ -62,7 +72,7 @@ class AdditiveModel(JsonArtifact):
         return int(self.answer_batch(*_one_row(x, y, z))[0])
 
     def answer_batch(self, X, Y, Z) -> np.ndarray:
-        ix, iy, iz = nearest_center_batch(self.cover, X, Y, Z)
+        ix, iy, iz = nearest_center_batch(self.cover, *_finite_rows(X, Y, Z))
         diff = self.table.ranks[ix, iy]
         diff -= self.table.ranks[ix, iz]
         return np.sign(diff, out=diff).astype(np.int64, copy=False)
@@ -157,7 +167,7 @@ class HybridDistance(JsonArtifact):
         return int(self._rule(X, Y, Z, *nearest_center_batch(self.cover, X, Y, Z))[0])
 
     def answer_batch(self, X, Y, Z) -> np.ndarray:
-        X, Y, Z = (np.asarray(A, dtype=np.float64) for A in (X, Y, Z))
+        X, Y, Z = _finite_rows(X, Y, Z)
         return self._rule(X, Y, Z, nearest_center_batch(self.cover, X))
 
     def _branches(self, X, Y, Z, ix):
@@ -187,7 +197,7 @@ class HybridDistance(JsonArtifact):
 
     def case_counts(self, X, Y, Z) -> dict:
         """How many triplets fall in each branch of the answering rule."""
-        X, Y, Z = (np.asarray(A, dtype=np.float64) for A in (X, Y, Z))
+        X, Y, Z = _finite_rows(X, Y, Z)
         _, yg, zg = self._branches(X, Y, Z, nearest_center_batch(self.cover, X))
         return {
             "both_global": int((yg & zg).sum()),

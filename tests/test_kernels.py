@@ -1,6 +1,8 @@
-"""The numpy batch kernels: references, tie rule, bit-exactness and bounded memory."""
+"""The numpy batch kernels: scan references, the per-axis nearest and lower-index
+rules, bit-exactness and bounded memory."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from tripletdist._kernels import (
     HAS_NUMBA,
     active_backend,
     assign_centers,
-    axis_breakpoints,
     grid_of,
     quad_forms_by_index,
 )
@@ -65,45 +66,78 @@ def test_assign_centers_chunked_path_consistent(rng):
     np.testing.assert_array_equal(d2, ref_d2)
 
 
-def _edge_values(axis, lo, hi):
-    """Centers, midpoints, the floats either side of each midpoint, and points
-    outside the box, near and far."""
+def _near_midpoints(axis):
+    """Each midpoint of neighbouring coordinates and the floats either side of it."""
     mid = (axis[:-1] + axis[1:]) / 2
+    return np.concatenate([mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)])
+
+
+def _edge_values(axis, lo, hi):
+    """Centers, ``_near_midpoints``, and points outside the box, near and far."""
     side = hi - lo
     far = [lo - 0.2 * side, hi + 0.2 * side, -1e3, 1e3, -1e8, 1e8]
-    return np.concatenate([axis, mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf),
-                           far])
+    return np.concatenate([axis, _near_midpoints(axis), far])
 
 
-@pytest.mark.parametrize("lower, upper, radius, counts", [
+def _assert_nearest_per_axis(X, idx, axes):
+    """On each axis a row's coordinate c[j] is a nearest one in exact arithmetic,
+    |x - c[j]| <= |x - c[j+1]| and |x - c[j]| < |x - c[j-1]|, so of two exactly
+    as near the lower wins."""
+    J = np.unravel_index(idx, [c.size for c in axes])
+    for x_a, j_a, c in zip(X.T, J, axes):
+        for x, j in set(zip(x_a.tolist(), j_a.tolist())):
+            gap = [abs(Fraction(x) - Fraction(v)) for v in c[max(j - 1, 0):j + 2].tolist()]
+            if j > 0:
+                assert gap[1] < gap[0], (x, j)
+                gap = gap[1:]
+            assert all(gap[0] <= g for g in gap), (x, j)
+
+
+COVER_CASES = [
     ([0.0], [1.0], 0.07, [8]),
     ([-1.0], [2.0], 5.0, [1]),
     ([0.0, 0.0], [1.0, 1.0], 0.0375, [19, 19]),
     ([0.0, 0.0], [4.0, 0.3], 0.5, [6, 1]),
     ([-1.0, 0.0, 0.5], [2.0, 0.1, 2.0], 0.45, [6, 1, 3]),
-], ids=["p1", "p1-one-center", "p2-benchmark-grid", "p2-one-center-axis", "p3-uneven"])
+]
+COVER_IDS = ["p1", "p1-one-center", "p2-benchmark-grid", "p2-one-center-axis", "p3-uneven"]
+
+
+@pytest.mark.parametrize("lower, upper, radius, counts", COVER_CASES, ids=COVER_IDS)
 def test_assign_centers_exact_on_grid_edge_cases(rng, lower, upper, radius, counts):
-    """Bit-identical idx and d2 to the scan, ties included: a point midway between
-    centers, a float away from midway, on a center, or far out of the box, where
-    rounding absorbs the other axes' terms and every center on them ties."""
+    """On cover grids: bit-identical idx and d2 to the scan on centers, points
+    near and far outside the box (up to 1e3) and random points, none within an
+    ulp of a midpoint; every row takes a nearest coordinate per axis; and every
+    in-box point, midpoints and the floats either side of them included, lies
+    within the cover radius of its center."""
     dom = Domain.box(lower, upper)
     centers = build_cover(dom, radius).centers
     axes = [np.unique(centers[:, a]) for a in range(dom.dim)]
     assert [a.size for a in axes] == counts
-    values = [_edge_values(ax, lo, hi) for ax, (lo, hi) in zip(axes, dom.bounds)]
+    values = []
+    for ax, (lo, hi) in zip(axes, dom.bounds):
+        v = np.concatenate([_edge_values(ax, lo, hi), rng.uniform(lo - 1.0, hi + 1.0, 200)])
+        values.append(np.setdiff1d(v[np.abs(v) <= 1e3], _near_midpoints(ax)))
     X = np.column_stack([rng.choice(v, 4000) for v in values])
     idx, d2 = assign_centers(X, centers)
     ref_idx, ref_d2 = _reference_assign(X, centers)
     np.testing.assert_array_equal(idx, ref_idx)
     np.testing.assert_array_equal(d2, ref_d2)
+    inside = [np.concatenate([ax, _near_midpoints(ax), [lo, hi], rng.uniform(lo, hi, 200)])
+              for ax, (lo, hi) in zip(axes, dom.bounds)]
+    X = np.column_stack([rng.choice(v[(v >= lo) & (v <= hi)], 4000)
+                         for v, (lo, hi) in zip(inside, dom.bounds)])
+    idx, d2 = assign_centers(X, centers)
+    _assert_nearest_per_axis(X, idx, axes)
+    assert d2.max() <= radius ** 2
 
 
-def _breakpoint_edge_values(axis, breaks):
-    """``_edge_values`` plus each breakpoint and the floats either side of it,
-    points far outside any grid, and non-finite values."""
+def _midpoint_edge_values(axis, mids):
+    """``_edge_values`` plus each of the lookup's midpoints and the floats either
+    side of it, points far outside any grid, and non-finite values."""
     return np.concatenate([
         _edge_values(axis, axis[0], axis[-1]),
-        breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf),
+        mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
         [-1e300, 1e300, 0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf]])
 
 
@@ -123,38 +157,57 @@ GRID_IDS = ["uneven", "one-center-axis", "p3-spans-0", "p4", "huge", "huge-offse
 
 @pytest.mark.parametrize("counts, lo, hi", GRID_CASES, ids=GRID_IDS)
 def test_assign_centers_exact_at_breakpoints(rng, counts, lo, hi):
-    """Bit-identical idx and d2 to the scan on random grids, at every midpoint and
-    breakpoint and the floats either side of them, on the centers, far outside
-    the grid, and for NaN and infinite coordinates."""
+    """On random grids, at every midpoint (where the lookup breaks from one
+    coordinate to the next) and the floats either side of it, on the centers and
+    far outside the grid: each axis takes a nearest coordinate in exact
+    arithmetic, the lower one at an exact midpoint, and d2 is the in-order sum of
+    the rounded squared per-axis differences to it."""
     centers = _product_grid(rng, counts, lo, hi)
     grid = grid_of(centers)
-    values = [_breakpoint_edge_values(c, bp) for c, bp in zip(grid.axes, grid.breaks)]
+    values = [_midpoint_edge_values(c, m) for c, m in zip(grid.axes, grid.mids)]
     X = np.column_stack([rng.choice(v, 5000) for v in values])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         idx, d2 = assign_centers(X, centers, grid)
-        ref_idx, ref_d2 = _reference_assign(X, centers)
-    np.testing.assert_array_equal(idx, ref_idx)
-    np.testing.assert_array_equal(d2, ref_d2)
+        terms = (X - centers[idx]) ** 2
+    finite = np.isfinite(d2)
+    assert 1000 < finite.sum() < finite.size
+    _assert_nearest_per_axis(X[finite], idx[finite], grid.axes)
+    np.testing.assert_array_equal(idx[~finite], 0)
+    in_order = terms[:, 0].copy()
+    for t in terms.T[1:]:
+        in_order += t
+    np.testing.assert_array_equal(d2[finite], in_order[finite])
 
 
 @pytest.mark.parametrize("counts, lo, hi", GRID_CASES, ids=GRID_IDS)
 def test_breakpoint_is_where_the_upper_coordinate_starts_to_win(rng, counts, lo, hi):
-    """At each breakpoint the upper neighbour is strictly nearer, and one float
-    below it is not.  Where the squared spacing underflows to 0 the upper one
-    never wins, and the breakpoint is the float after it."""
-    for c in grid_of(_product_grid(rng, counts, lo, hi)).axes:
-        bp = axis_breakpoints(c)
-        below, above = c[:-1], c[1:]
-        assert bp.shape == below.shape and np.all(np.diff(bp) >= 0)
-        with np.errstate(over="ignore"):
-            wins = (bp - above) ** 2 < (bp - below) ** 2
-            before = np.nextafter(bp, -np.inf)
-            assert not np.any((before - above) ** 2 < (before - below) ** 2)
-        past = bp > above
-        np.testing.assert_array_equal(bp[past], np.nextafter(above[past], np.inf))
-        assert np.all((above[past] - below[past]) ** 2 == 0)
-        assert np.all(wins | past)
-        assert np.all(below < bp)
+    """Each axis's breakpoint is its midpoint: the lower neighbour is at least as
+    near there, in exact arithmetic, and the upper one is strictly nearer one
+    float above it."""
+    for c, m in zip(*grid_of(_product_grid(rng, counts, lo, hi))):
+        assert m.shape == (c.size - 1,) and np.all(np.diff(m) >= 0)
+        for below, above, mid in zip(c[:-1].tolist(), c[1:].tolist(), m.tolist()):
+            exact = (Fraction(below) + Fraction(above)) / 2
+            assert Fraction(mid) <= exact < Fraction(float(np.nextafter(mid, np.inf)))
+
+
+@pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (2.0 ** -1000, 0.0),
+                                           (2.0 ** 500, 0.0), (2.0 ** -10, 1e12)],
+                         ids=["unit", "tiny", "huge", "huge-offset"])
+def test_assign_centers_exact_midpoint_goes_to_lower_index(rng, scale, offset):
+    """On dyadic grids, where every midpoint is a double, a coordinate exactly
+    midway between two neighbours goes to the lower one on every axis."""
+    axes = [offset + scale * np.sort(rng.choice(np.arange(-500.0, 500.0), k, replace=False))
+            for k in (7, 1, 4)]
+    centers = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    J = [rng.integers(0, max(c.size - 1, 1), 2000) for c in axes]
+    X = np.column_stack([c[j] / 2 + c[j + 1] / 2 if c.size > 1 else c[j] for c, j in zip(axes, J)])
+    for x, c, j in zip(X.T, axes, J):
+        if c.size > 1:
+            assert all(Fraction(v) == (Fraction(a) + Fraction(b)) / 2
+                       for v, a, b in zip(x.tolist(), c[j].tolist(), c[j + 1].tolist()))
+    idx, _ = assign_centers(X, centers)
+    np.testing.assert_array_equal(idx, np.ravel_multi_index(J, [c.size for c in axes]))
 
 
 def test_assign_centers_non_finite_rows_get_index_zero():
@@ -206,7 +259,7 @@ def test_assign_centers_block_buffers_stay_small(rng):
     finally:
         tracemalloc.stop()
     # idx and d2 take 1.9 MB; the rest is one block's per-row temporaries, 64 KB
-    # each, and the grid's axes and breakpoints
+    # each, and the grid's axes and midpoints
     assert peak < 4 * 2 ** 20
 
 

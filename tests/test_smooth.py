@@ -183,6 +183,45 @@ def test_additive_answer_batch_memory_stays_bounded(rng):
     assert peak < 5.5 * 2 ** 20
 
 
+@pytest.mark.parametrize("kind", [SquaredMahalanobis, SqrtMahalanobis],
+                         ids=["squared", "sqrt"])
+def test_additive_learning_invariant_to_power_of_two_scaling(rng, kind):
+    """Scaling the truth's matrix by 4 or 2**-6 scales every distance exactly, so
+    no label moves: the ranks, the query count and every answer are identical."""
+    M = np.array([[0.42, 0.08], [0.08, 0.33]])
+    dom = Domain.unit_box(2)
+    models = [learn_additive(dom, CountingOracle(kind(s * M)), omega=0.1, radius=0.1)
+              for s in (1.0, 4.0, 2.0 ** -6)]
+    assert models[0].cover.size == 64
+    X, Y, Z = sample_triplets(dom, 5000, rng)
+    base = models[0].answer_batch(X, Y, Z)
+    for model in models[1:]:
+        np.testing.assert_array_equal(model.table.ranks, models[0].table.ranks)
+        assert model.query_count == models[0].query_count
+        np.testing.assert_array_equal(model.answer_batch(X, Y, Z), base)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_additive_rejects_non_finite_points(rng, bad):
+    """A NaN or infinite coordinate in x, y or z raises, naming the row count,
+    instead of snapping the point to some center."""
+    truth = SquaredMahalanobis(np.array([[1.0, 0.2], [0.2, 0.6]]))
+    dom = Domain.unit_box(2)
+    model = learn_additive(dom, CountingOracle(truth), omega=0.3, radius=0.15)
+    triplet = sample_triplets(dom, 10, rng)
+    for k in range(3):
+        batch = [A.copy() for A in triplet]
+        batch[k][[1, 4, 7], k % 2] = bad
+        with pytest.raises(ValueError, match="non-finite coordinate in 3 of 10 rows"):
+            model.answer_batch(*batch)
+        with pytest.raises(ValueError, match="non-finite coordinate in 1 of 1 rows"):
+            model.answer(*(A[4] for A in batch))
+    x, y = triplet[0][0], triplet[1][0]
+    for pair in (([bad, 0.5], y), (x, [0.5, bad])):
+        with pytest.raises(ValueError, match="non-finite"):
+            model.eval(*pair)
+
+
 # ---------------------------------------------------------------------------
 # multiplicative thresholds
 
@@ -437,6 +476,62 @@ def test_multiplicative_deterministic(hybrid_learned):
     np.testing.assert_array_equal(again.hessians, model.hessians)
     np.testing.assert_array_equal(again.table.ranks, model.table.ranks)
     assert report2 == report
+
+
+def _triplets_in_every_branch(model, dom, rng):
+    """Uniform triplets plus near pairs at the cover radius and sqrt(beta_hat), and
+    each branch's rows (forms computed as the rule does)."""
+    X, Y, Z = sample_triplets(dom, 50_000, rng)
+    scales = [model.cover.radius, math.sqrt(model.thresholds.beta_hat)]
+    nX, nY, nZ = near_pair_triplets(dom, scales, 5_000, rng)
+    X, Y, Z = np.concatenate([X, nX]), np.concatenate([Y, nY]), np.concatenate([Z, nZ])
+    ix = _kernels.assign_centers(X, model.cover.centers)[0]
+    yg = _kernels.quad_forms_by_index(Y - X, model.hessians, ix) > model.theta
+    zg = _kernels.quad_forms_by_index(Z - X, model.hessians, ix) > model.theta
+    rows = {"both_local": ~yg & ~zg, "far_near": yg & ~zg, "near_far": ~yg & zg,
+            "both_global": yg & zg}
+    assert model.case_counts(X, Y, Z) == {k: int(m.sum()) for k, m in rows.items()}
+    return (X, Y, Z), rows
+
+
+def test_answers_antisymmetric_in_y_and_z(hybrid_learned, rng):
+    """Swapping y and z negates every answer, in each branch of the hybrid rule and
+    for the additive model."""
+    _, dom, _, hybrid, _ = hybrid_learned
+    (X, Y, Z), rows = _triplets_in_every_branch(hybrid, dom, rng)
+    assert all(m.any() for m in rows.values())
+    np.testing.assert_array_equal(hybrid.answer_batch(X, Y, Z), -hybrid.answer_batch(X, Z, Y))
+    truth = SquaredMahalanobis(np.array([[1.0, 0.2], [0.2, 0.6]]))
+    additive = learn_additive(Domain.unit_box(2), CountingOracle(truth), omega=0.3, radius=0.15)
+    X, Y, Z = sample_triplets(Domain.unit_box(2), 20_000, rng)
+    answers = additive.answer_batch(X, Y, Z)
+    assert set(np.unique(answers)) == {-1, 0, 1}
+    np.testing.assert_array_equal(answers, -additive.answer_batch(X, Z, Y))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hybrid_rejects_non_finite_points_in_every_branch(hybrid_learned, rng, bad):
+    """A NaN or infinite coordinate in x, y or z of a row that would go down any
+    branch raises, naming the row count, from every serving entry point."""
+    _, dom, _, model, _ = hybrid_learned
+    triplet, rows = _triplets_in_every_branch(model, dom, rng)
+    for branch, mask in rows.items():
+        r = np.flatnonzero(mask)[:2]
+        assert r.size == 2, branch
+        for k in range(3):
+            batch = [A.copy() for A in triplet]
+            batch[k][r, k % 2] = bad
+            message = f"non-finite coordinate in 2 of {len(batch[0])} rows"
+            for serve in (model.answer_batch, model.case_counts):
+                with pytest.raises(ValueError, match=message):
+                    serve(*batch)
+            with pytest.raises(ValueError, match="non-finite coordinate in 1 of 1 rows"):
+                model.answer(*(A[r[0]] for A in batch))
+            if k:
+                with pytest.raises(ValueError, match="non-finite"):
+                    model.eval(batch[0][r[0]], batch[k][r[0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        model.eval([bad, 0.0], [0.0, 0.0])
 
 
 def test_override_theta_infinite_all_local(rng):
