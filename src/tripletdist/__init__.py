@@ -9,7 +9,7 @@ the true distances differ by an additive or multiplicative margin.
 
 from .core import (CountingOracle, DiagonalGaussianKL, GroundTruth, SmoothnessParams,
                    SqrtMahalanobis, SquaredMahalanobis, VaryingHessianQuadratic,
-                   ground_truth_from_config, make_ground_truth)
+                   make_ground_truth)
 from .cover import CoverSizeError, Domain, EpsCover, build_cover
 from .finite import RankTable, learn_finite_distance, learn_ranking
 from .maha import (AdmissibilityError, BinarySearchDivergence, MahaModel,
@@ -18,18 +18,17 @@ from .maha import (AdmissibilityError, BinarySearchDivergence, MahaModel,
 from .smooth import (AdditiveModel, HybridDistance, MultiplicativeThresholds,
                      additive_radius, learn_additive, learn_multiplicative,
                      learn_multiplicative_autoscale, multiplicative_thresholds)
-from .evaluation import (AgreementReport, assert_query_budget, audit_hessian_band,
-                         audit_quadratic_sandwich, audit_taylor, check_additive,
-                         check_multiplicative, fixture_smoothness, frobenius_error,
-                         near_pair_triplets, query_budget, sample_triplets,
-                         truth_answer_batch)
+from .evaluation import (AgreementReport, audit_hessian_band, audit_quadratic_sandwich,
+                         audit_taylor, check_additive, check_multiplicative,
+                         fixture_smoothness, frobenius_error, near_pair_triplets,
+                         query_budget, sample_triplets, truth_answer_batch)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CountingOracle", "GroundTruth", "SmoothnessParams", "SqrtMahalanobis",
     "SquaredMahalanobis", "VaryingHessianQuadratic", "DiagonalGaussianKL",
-    "make_ground_truth", "ground_truth_from_config",
+    "make_ground_truth",
     "Domain", "EpsCover", "CoverSizeError", "build_cover",
     "RankTable", "learn_finite_distance", "learn_ranking",
     "MahaModel", "learn_mahalanobis", "learn_local_hessian", "extended_basis",
@@ -40,6 +39,5 @@ __all__ = [
     "multiplicative_thresholds",
     "AgreementReport", "check_additive", "check_multiplicative", "frobenius_error",
     "audit_taylor", "audit_quadratic_sandwich", "audit_hessian_band", "query_budget",
-    "assert_query_budget", "fixture_smoothness", "sample_triplets", "near_pair_triplets",
-    "truth_answer_batch",
+    "fixture_smoothness", "sample_triplets", "near_pair_triplets", "truth_answer_batch",
 ]

@@ -88,8 +88,9 @@ def assign_centers(X, centers, grid=None):
     ``centers`` must be a grid (see ``grid_of``); ``grid`` is its ``Grid``,
     derived from ``centers`` when not given. Each axis takes a nearest
     coordinate, the lower one when two are exactly as near, so a point midway
-    between two centers goes to the lower index. A row whose squared distance
-    is NaN or infinite gets index 0.
+    between two centers goes to the lower index. A finite point outside the
+    grid gets its nearest center even where its squared distance overflows
+    to infinity; a row with a NaN or infinite coordinate gets index 0.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or np.ndim(centers) != 2 or X.shape[1] != np.shape(centers)[1]:
@@ -116,7 +117,10 @@ def _lookup(B, grid):
         t = x - c[j]
         d2 += t * t
         idx = idx * c.size + j
-    idx[~np.isfinite(d2)] = 0
+    # A non-finite coordinate makes d2 non-finite, so coordinates are checked
+    # only when some d2 is; a finite point whose d2 overflowed keeps its index.
+    if not np.isfinite(d2).all():
+        idx[~np.isfinite(B).all(axis=1)] = 0
     return idx, d2
 
 

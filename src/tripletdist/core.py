@@ -77,9 +77,6 @@ class GroundTruth:
         """Hessian of y -> d(x, y) evaluated at y = x."""
         raise NotImplementedError(f"{self.kind} does not expose an analytic Hessian")
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 class SqrtMahalanobis(GroundTruth):
     """d(x, y) = sqrt((y - x)^T M (y - x)) for a fixed PSD matrix M.
@@ -102,9 +99,6 @@ class SqrtMahalanobis(GroundTruth):
         q = np.einsum("ni,ij,nj->n", D, self.matrix, D)
         return np.sqrt(np.maximum(q, 0.0))
 
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "matrix": self.matrix.tolist()}
-
 
 class SquaredMahalanobis(GroundTruth):
     """d(x, y) = 1/2 (y - x)^T M (y - x); smooth, constant Hessian M."""
@@ -125,9 +119,6 @@ class SquaredMahalanobis(GroundTruth):
     def hessian_at(self, x) -> Array:
         _as_point(x, self.dim)
         return self.matrix.copy()
-
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "matrix": self.matrix.tolist()}
 
 
 class VaryingHessianQuadratic(GroundTruth):
@@ -198,15 +189,6 @@ class VaryingHessianQuadratic(GroundTruth):
         return abs(self.amplitude) * float(np.linalg.norm(self.direction_matrix)) * float(
             np.linalg.norm(self.wave))
 
-    def to_config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "base_matrix": self.base_matrix.tolist(),
-            "amplitude": self.amplitude,
-            "wave": self.wave.tolist(),
-            "direction_matrix": self.direction_matrix.tolist(),
-        }
-
 
 class DiagonalGaussianKL(GroundTruth):
     """KL divergence between centered Gaussians with diagonal covariance.
@@ -236,9 +218,6 @@ class DiagonalGaussianKL(GroundTruth):
         """Max |d^3/dt^3| of the per-coordinate profile over |y_i - x_i| <= coord_range."""
         return 0.5 * math.exp(float(coord_range))
 
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim}
-
 
 _KIND_MAP: dict[str, type] = {
     SqrtMahalanobis.kind: SqrtMahalanobis,
@@ -255,12 +234,6 @@ def make_ground_truth(kind: str, **kwargs) -> GroundTruth:
     except KeyError:
         raise ValueError(f"unknown ground-truth kind {kind!r}; known: {sorted(_KIND_MAP)}") from None
     return cls(**kwargs)
-
-
-def ground_truth_from_config(config: dict) -> GroundTruth:
-    config = dict(config)
-    kind = config.pop("kind")
-    return make_ground_truth(kind, **config)
 
 
 class CountingOracle:
@@ -295,9 +268,6 @@ class CountingOracle:
         if abs(diff) <= self.equality_tolerance:
             return 0
         return 1 if diff > 0 else -1
-
-    def reset_count(self) -> None:
-        self.query_count = 0
 
 
 def curvature_scale(eig_lo: float, M_third: float, p: int) -> float:

@@ -136,8 +136,9 @@ def nearest_center_batch(cover: EpsCover, X, *more):
     coordinates, O(n p log k) for n rows and k centers, where a scan of the
     centers costs O(n k p).  Each axis takes a nearest coordinate, the lower
     one at an exact midpoint, so a point midway between two centers goes to
-    the lower index.  A row whose squared distance is NaN or infinite (a NaN
-    or infinite coordinate, say) gets index 0.
+    the lower index.  A finite point outside the box gets its nearest boundary
+    center, however far out it lies; a row with a NaN or infinite coordinate
+    gets index 0.
 
     Several arrays, all with the same number of rows, are looked up together:
     one ``assign_centers`` call per block of rows takes that block of every

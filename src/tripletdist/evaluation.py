@@ -117,16 +117,12 @@ def count_rank_violations(D, ranks) -> int:
     return total
 
 
-def truth_answer_batch(truth: GroundTruth, tol: float = 0.0):
+def truth_answer_batch(truth: GroundTruth):
     """The ground truth wearing a learner's interface (for checker calibration)."""
 
     def answer(X, Y, Z):
-        dxy = truth.distance_batch(X, Y)
-        dxz = truth.distance_batch(X, Z)
-        diff = dxy - dxz
-        out = np.sign(diff).astype(np.int64)
-        out[np.abs(diff) <= tol] = 0
-        return out
+        diff = truth.distance_batch(X, Y) - truth.distance_batch(X, Z)
+        return np.sign(diff).astype(np.int64)
 
     return answer
 
@@ -312,15 +308,6 @@ def query_budget(formula: str, **kw) -> float:
         table = n_centers * n_centers * math.log2(max(n_centers, 2))
         return 2.0 * (table + n_centers * local)
     raise ValueError(f"unknown budget formula {formula!r}")
-
-
-def assert_query_budget(count: int, formula: str, **kw) -> float:
-    """Raise AssertionError if count exceeds the formula's allowance; returns the budget."""
-    budget = query_budget(formula, **kw)
-    if count > budget:
-        raise AssertionError(f"query count {count} exceeds {formula} budget {budget:.1f} "
-                             f"for {kw}")
-    return budget
 
 
 # ---------------------------------------------------------------------------

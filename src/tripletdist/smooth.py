@@ -162,13 +162,23 @@ class HybridDistance(JsonArtifact):
         return float(self.table.ranks[ix[0], iy[0]]) + self.theta
 
     def answer(self, x, y, z) -> int:
-        """``answer_batch`` on one triplet, its three points looked up in one call."""
-        X, Y, Z = _one_row(x, y, z)
-        return int(self._rule(X, Y, Z, *nearest_center_batch(self.cover, X, Y, Z))[0])
+        """``answer_batch`` on one triplet."""
+        return int(self.answer_batch(*_one_row(x, y, z))[0])
 
     def answer_batch(self, X, Y, Z) -> np.ndarray:
+        """The answering rule.  Only both-global rows read the centers of y and z,
+        so only those rows look them up."""
         X, Y, Z = _finite_rows(X, Y, Z)
-        return self._rule(X, Y, Z, nearest_center_batch(self.cover, X))
+        ix = nearest_center_batch(self.cover, X)
+        out, y_glob, z_glob = self._branches(X, Y, Z, ix)
+        out[y_glob & ~z_glob] = 1
+        out[~y_glob & z_glob] = -1
+        both_g = y_glob & z_glob
+        if both_g.any():
+            iy, iz = nearest_center_batch(self.cover, Y[both_g], Z[both_g])
+            diff = self.table.ranks[ix[both_g], iy] - self.table.ranks[ix[both_g], iz]
+            out[both_g] = np.sign(diff)
+        return out
 
     def _branches(self, X, Y, Z, ix):
         """(local, y_glob, z_glob): the local answers sign(l(x,y) - l(x,z)) from the
@@ -178,22 +188,6 @@ class HybridDistance(JsonArtifact):
         lxz = _kernels.quad_forms_by_index(Z - X, self.hessians, ix)
         local = lxy - lxz
         return np.sign(local, out=local).astype(np.int64), lxy > self.theta, lxz > self.theta
-
-    def _rule(self, X, Y, Z, ix, iy=None, iz=None):
-        """The answering rule.  Only both-global rows read the centers of y and z;
-        those rows are looked up here unless ``iy`` and ``iz`` give every row's."""
-        out, y_glob, z_glob = self._branches(X, Y, Z, ix)
-        out[y_glob & ~z_glob] = 1
-        out[~y_glob & z_glob] = -1
-        both_g = y_glob & z_glob
-        if both_g.any():
-            if iy is None:
-                iy, iz = nearest_center_batch(self.cover, Y[both_g], Z[both_g])
-            else:
-                iy, iz = iy[both_g], iz[both_g]
-            diff = self.table.ranks[ix[both_g], iy] - self.table.ranks[ix[both_g], iz]
-            out[both_g] = np.sign(diff)
-        return out
 
     def case_counts(self, X, Y, Z) -> dict:
         """How many triplets fall in each branch of the answering rule."""

@@ -180,6 +180,37 @@ def test_run_hash_strips_nested_timing():
     assert run_hash(rows, cols, {"report": {"x": 2}}) != run_hash(rows, cols, s1)
 
 
+# Full run_hash of fast configurations (numpy 2.4). A change that moves one
+# changes queries, answers or what the outputs store, and must say so.
+PINNED_HASHES = {
+    "learn-additive": ("learn-additive --omega 0.5 --p 2 --samples 5000 --seed 3",
+                       "fc0d666f2a835b872a0d3dde23ad0a995c94b6bb9a6e16862e2c86f4243369d1"),
+    "learn-mult": ("learn-mult --omega 0.5 --samples 5000 --seed 3 "
+                   "--fixture varying-hessian-quadratic --max-centers 36",
+                   "b0358e69c76cd146ae5e7bb1ab13132f35b64fe0ce18373d2338172a985bff0e"),
+    "learn-finite": ("learn-finite --n 12 --p 3 --seed 3",
+                     "20dd0a62783b34bd404bbc9ef866881a8798aa2557e85a3a7fc5697521b67a74"),
+    "learn-maha": ("learn-maha --p 4 --kappa 10 --eps 1e-3 --seed 3",
+                   "279d7738f339f143aef0f95ed01492afc8493e150acf6051f1c47431024a43e1"),
+    "learn-hessian": ("learn-hessian --p 2 --eps 1e-2 --fixture varying-hessian-quadratic "
+                      "--seed 3",
+                      "69b9749f22755f964af4dab715ba0bc1462633b0b64dd8f60a7f0d0d2ec13ccb"),
+    "audit-taylor": ("audit --audit taylor --seed 3",
+                     "6eb644ad6dc85bd866ae27d647dcdc9f61ea100ec18351eaa5bbdf5132cb28ed"),
+    "audit-sandwich": ("audit --audit sandwich --seed 3",
+                       "bb31f9a809850f6fcc9ebbebeda89395b3c20396d8f26cb109dfedee8574d15a"),
+    "audit-hessian-band": ("audit --audit hessian-band --seed 3",
+                           "6c2b99ab09e5d64c438094229cb4dfe56b9c44e77e0f612d3dfe4a45c23afdb7"),
+}
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_HASHES.values(), ids=PINNED_HASHES)
+def test_run_hash_pinned(capsys, argv, digest):
+    code, out = _run(capsys, argv.split())
+    assert code == 0
+    assert _hash_of(out) == digest
+
+
 def test_repeat_run_same_seed_same_hash(capsys):
     args = ["learn-finite", "--n", "7", "--p", "3", "--seed", "11"]
     _, out1 = _run(capsys, args)

@@ -25,7 +25,6 @@ from tripletdist import (
 )
 from tripletdist.evaluation import (
     AgreementReport,
-    assert_query_budget,
     audit_hessian_band,
     audit_quadratic_sandwich,
     audit_taylor,
@@ -34,6 +33,8 @@ from tripletdist.evaluation import (
     frobenius_error,
     query_budget,
 )
+
+from conftest import truth_label
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,28 @@ def test_checkers_only_see_triplets(rng):
 
     check_additive(truth, spy, 0.1, X, Y, Z)
     assert seen == [((50, 2), (50, 2), (50, 2))]
+
+
+@pytest.mark.parametrize("truth", [
+    SqrtMahalanobis(np.array([[1.0, 0.3], [0.3, 2.0]])),
+    SquaredMahalanobis(np.array([[1.0, 0.3], [0.3, 2.0]])),
+    VaryingHessianQuadratic(np.eye(2), amplitude=0.1),
+    DiagonalGaussianKL(2),
+], ids=["sqrt", "squared", "varying", "kl"])
+def test_truth_answer_batch_labels_match_reference(truth, rng):
+    """int64 labels equal to the one-triplet reference, on random triplets and on
+    mirrored dyadic triplets (x, x+o, x-o), which tie exactly for the quadratic
+    kinds."""
+    answer = truth_answer_batch(truth)
+    uniform = sample_triplets(Domain.unit_box(2), 500, rng)
+    X = rng.integers(0, 9, (500, 2)) / 8
+    O = rng.integers(-4, 5, (500, 2)) / 16
+    for A, B, C in (uniform, (X, X + O, X - O)):
+        labels = answer(A, B, C)
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, [truth_label(truth, *t) for t in zip(A, B, C)])
+    if truth.kind != "diagonal-gaussian-kl":
+        np.testing.assert_array_equal(labels, 0)
 
 
 def test_truth_learner_passes_both_checkers(rng):
@@ -395,12 +418,6 @@ def test_budget_thm6_composition():
 def test_budget_unknown_formula():
     with pytest.raises(ValueError, match="formula"):
         query_budget("thm99", n=3)
-
-
-def test_assert_query_budget():
-    assert assert_query_budget(100, "thm1", n=8) == 216.0
-    with pytest.raises(AssertionError, match="exceeds"):
-        assert_query_budget(217, "thm1", n=8)
 
 
 # ---------------------------------------------------------------------------

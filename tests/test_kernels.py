@@ -160,8 +160,9 @@ def test_assign_centers_exact_at_breakpoints(rng, counts, lo, hi):
     """On random grids, at every midpoint (where the lookup breaks from one
     coordinate to the next) and the floats either side of it, on the centers and
     far outside the grid: each axis takes a nearest coordinate in exact
-    arithmetic, the lower one at an exact midpoint, and d2 is the in-order sum of
-    the rounded squared per-axis differences to it."""
+    arithmetic, the lower one at an exact midpoint, also where d2 overflows, and
+    d2 is the in-order sum of the rounded squared per-axis differences to it. A
+    row with a NaN or infinite coordinate gets index 0."""
     centers = _product_grid(rng, counts, lo, hi)
     grid = grid_of(centers)
     values = [_midpoint_edge_values(c, m) for c, m in zip(grid.axes, grid.mids)]
@@ -169,8 +170,9 @@ def test_assign_centers_exact_at_breakpoints(rng, counts, lo, hi):
     with np.errstate(over="ignore"):
         idx, d2 = assign_centers(X, centers, grid)
         terms = (X - centers[idx]) ** 2
-    finite = np.isfinite(d2)
+    finite = np.isfinite(X).all(axis=1)
     assert 1000 < finite.sum() < finite.size
+    assert np.isinf(d2[finite]).any()
     _assert_nearest_per_axis(X[finite], idx[finite], grid.axes)
     np.testing.assert_array_equal(idx[~finite], 0)
     in_order = terms[:, 0].copy()
@@ -218,6 +220,18 @@ def test_assign_centers_non_finite_rows_get_index_zero():
     np.testing.assert_array_equal(idx, ref_idx)
     np.testing.assert_array_equal(idx[:3], [0, 0, 0])
     np.testing.assert_array_equal(d2, ref_d2)
+
+
+def test_assign_centers_far_point_keeps_its_nearest_center():
+    """A finite point so far out that its squared distance overflows gets the
+    center nearest on each axis, as a point just outside the box does."""
+    centers = build_cover(Domain.unit_box(2), 0.2).centers
+    assert centers.shape[0] == 16
+    X = np.array([[1e3, 0.9], [1e155, 0.9], [1e200, 0.9], [-1e200, 1e200]])
+    with np.errstate(over="ignore"):
+        idx, d2 = assign_centers(X, centers)
+    np.testing.assert_array_equal(idx, [15, 15, 15, 3])
+    assert np.isfinite(d2[0]) and np.isinf(d2[1:]).all()
 
 
 def test_assign_centers_shape_validation():

@@ -201,6 +201,22 @@ def test_additive_learning_invariant_to_power_of_two_scaling(rng, kind):
         np.testing.assert_array_equal(model.answer_batch(X, Y, Z), base)
 
 
+def test_additive_far_point_answers_from_its_nearest_boundary_center():
+    """x far enough out that its squared distance to every center overflows is
+    answered from the same boundary center as an x just outside the box: from the
+    top-right center y is nearer, from center 0 z would be."""
+    dom = Domain.unit_box(2)
+    model = learn_additive(dom, CountingOracle(SqrtMahalanobis(np.eye(2))), omega=0.5,
+                           radius=0.2)
+    assert model.cover.size == 16
+    X = np.array([[1e3, 0.9], [1e200, 0.9]])
+    Y = np.tile([0.9, 0.9], (2, 1))
+    Z = np.tile([0.1, 0.1], (2, 1))
+    with np.errstate(over="ignore"):
+        answers = model.answer_batch(X, Y, Z)
+    np.testing.assert_array_equal(answers, [-1, -1])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_additive_rejects_non_finite_points(rng, bad):
     """A NaN or infinite coordinate in x, y or z raises, naming the row count,

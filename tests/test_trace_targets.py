@@ -1,11 +1,12 @@
-"""The benchmark tracer's targets name functions the package still has, and its
-tracer runs over the serving path.
+"""The benchmark tracer's targets and the benchmark's own reads name things the
+package still has, and its tracer runs over the serving path.
 
 ``perfbench/spans.py`` wraps each ``TARGETS`` entry by module and attribute
-name, and fails its traced run when one is missing. Reading the table here,
-without changing that file, makes a rename fail in seconds; loading the file
-and serving under its ``Tracer`` does the same for a serving change that
-breaks the tracer's wrappers or counts.
+name, and fails its traced run when one is missing. ``perfbench/run.py`` and
+``perfbench/workloads.py`` read package names as ``<module>.<attr>``. Reading
+both here, without changing those files, makes a rename or deletion fail in
+seconds; loading the tracer and serving under its ``Tracer`` does the same for
+a serving change that breaks the tracer's wrappers or counts.
 """
 
 import ast
@@ -19,7 +20,8 @@ import numpy as np
 from tripletdist import (AdditiveModel, Domain, HybridDistance, MultiplicativeThresholds,
                          RankTable, build_cover)
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _targets() -> dict:
@@ -44,6 +46,20 @@ def test_every_traced_name_is_a_package_callable():
             if not callable(obj):
                 missing.append(f"{layer}.{name}")
     assert not missing, "traced names not found in tripletdist: " + ", ".join(missing)
+
+
+def test_every_name_the_benchmark_reads_exists():
+    modules = {"cli", "core", "cover", "evaluation", "maha", "smooth", "_kernels"}
+    reads = set()
+    for path in (PERFBENCH / "run.py", PERFBENCH / "workloads.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                reads.add((node.value.id, node.attr))
+    assert len(reads) >= 20
+    missing = [f"{m}.{a}" for m, a in sorted(reads)
+               if not hasattr(importlib.import_module(f"tripletdist.{m}"), a)]
+    assert not missing, "benchmark reads names not found in tripletdist: " + ", ".join(missing)
 
 
 def _load_spans(monkeypatch):
